@@ -36,7 +36,7 @@ from .engine import (
     index_tensor,
     weight,
 )
-from .errors import CompositionError, DimensionMismatchError, FramingError
+from .errors import CompositionError, DimensionMismatchError, FramingError, TraceDiagramError
 
 
 def _renamed(d: TraceDiagram, prefix: str):
@@ -275,6 +275,13 @@ def reframe_positions(s: DiagramOrSum, input_positions, output_positions) -> For
     return FormalSum(tuple(out_terms))
 
 
+def _nonempty_terms(s: DiagramOrSum):
+    terms = _as_sum(s).terms
+    if not terms:
+        raise FramingError("cannot evaluate an empty formal sum")
+    return terms
+
+
 def sum_function_matrix(
     s: DiagramOrSum,
     binding: Optional[MatrixBinding] = None,
@@ -282,11 +289,9 @@ def sum_function_matrix(
 ) -> FunctionMatrix:
     """Function matrix of a formal sum: the coefficient-weighted sum of term matrices."""
     total: Optional[FunctionMatrix] = None
-    for c, d in _as_sum(s).terms:
+    for c, d in _nonempty_terms(s):
         fm = c * function_matrix(d, binding, prune_zeros)
         total = fm if total is None else total + fm
-    if total is None:
-        raise FramingError("cannot evaluate an empty formal sum")
     return total
 
 
@@ -294,7 +299,7 @@ def sum_closed_value(
     s: DiagramOrSum, binding: Optional[MatrixBinding] = None
 ) -> Fraction:
     return sum(
-        (c * evaluate_closed(d, binding) for c, d in _as_sum(s).terms), Fraction(0)
+        (c * evaluate_closed(d, binding) for c, d in _nonempty_terms(s)), Fraction(0)
     )
 
 
@@ -345,7 +350,7 @@ def is_relation(
                     leaf_coloring.update(zip(d.outputs, beta))
                     entry += coeff * weight(d, leaf_coloring, binding)
                 if entry != fm.entries[r][c]:
-                    raise AssertionError(
+                    raise TraceDiagramError(
                         "function-matrix and per-basis weight routes disagree"
                     )
     return RelationCheck(worst == 0, worst, witness if worst != 0 else None)

@@ -363,7 +363,6 @@ def _ints(args):
 
 BUILTINS = {
     "id": lambda n, k: identity_strands(n, int(k)),
-    "identity": lambda n, k: identity_strands(n, int(k)),
     "perm": lambda n, *imgs: permutation_diagram(n, _ints(imgs)),
     "strand": lambda n, *labels: matrix_strand(n, labels),
     "trace": lambda n, *labels: trace_loop(n, labels),
@@ -399,5 +398,5 @@ def build_builtin(name: str, args, n: int):
         raise DiagramStructureError(f"unknown builtin {name!r}") from None
     try:
         return fn(n, *args)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DiagramStructureError(f"builtin {name!r}: {exc}") from None

@@ -16,7 +16,7 @@ from .dsl import parse_diagram_set, parse_matrix_file
 from .engine import evaluate_closed, function_matrix
 from .errors import DslSyntaxError, TraceDiagramError, UnboundLabelError
 from .identities import (
-    IDENTITY_DIMS,
+    CATALOGUE,
     charpoly_diagrammatic,
     charpoly_oracle,
     pfaffian_scan,
@@ -142,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("verify", help="run one identity's randomized exact checks")
-    p.add_argument("identity", choices=sorted(IDENTITY_DIMS))
+    # polarization and the Pfaffian scan, which accept any dimension, have
+    # their own commands
+    p.add_argument("identity", choices=sorted(k for k, v in CATALOGUE.items() if v.dims))
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", default="0")

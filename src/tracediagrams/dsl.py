@@ -190,7 +190,7 @@ def _feed(draft: _Draft, line: int, stmt: str) -> None:
     words = stmt.split()
     head = words[0]
     if head == "dim":
-        if len(words) != 2 or not words[1].isdigit():
+        if len(words) != 2 or not words[1].isdecimal():
             raise DslSyntaxError("expected 'dim <n>'", line)
         draft.n = int(words[1])
     elif head == "vertex":
@@ -343,6 +343,8 @@ def parse_relation(
                 "'use' requires file context; call parse_relation_file", line
             )
         elif words[0] == "dim" and len(words) == 2 and not diagram_text:
+            if not words[1].isdecimal():
+                raise DslSyntaxError("expected 'dim <n>'", line)
             dim = int(words[1])
         else:
             diagram_text.append(stmt)
@@ -415,7 +417,7 @@ def parse_matrix_file(text: str) -> MatrixBinding:
             expect = (kind, name, left, cols) if left else None
             continue
         if words[0] == "matrix":
-            if len(words) != 4 or not (words[2].isdigit() and words[3].isdigit()):
+            if len(words) != 4 or not (words[2].isdecimal() and words[3].isdecimal()):
                 raise DslSyntaxError("expected 'matrix <name> <rows> <cols>'", line)
             name, rows, cols = words[1], int(words[2]), int(words[3])
             if rows != cols:
@@ -429,7 +431,7 @@ def parse_matrix_file(text: str) -> MatrixBinding:
             mats[name] = []
             expect = ("matrix", name, rows, cols)
         elif words[0] == "vector":
-            if len(words) != 3 or not words[2].isdigit():
+            if len(words) != 3 or not words[2].isdecimal():
                 raise DslSyntaxError("expected 'vector <name> <len>'", line)
             name, length = words[1], int(words[2])
             if n is None:

@@ -110,6 +110,13 @@ class FunctionMatrix:
         )
 
 
+def _check_dimension(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> None:
+    if binding is not None and binding.n != diagram.n:
+        raise DimensionMismatchError(
+            f"binding dimension {binding.n} != diagram dimension {diagram.n}"
+        )
+
+
 class _Prepared:
     """Indexed view of a diagram, optionally with bound matrices, for the enumerator."""
 
@@ -123,10 +130,7 @@ class _Prepared:
         result = validate(diagram)
         if not result.ok:
             raise DiagramStructureError("; ".join(result.violations))
-        if binding is not None and binding.n != diagram.n:
-            raise DimensionMismatchError(
-                f"binding dimension {binding.n} != diagram dimension {diagram.n}"
-            )
+        _check_dimension(diagram, binding)
         self.diagram = diagram
         self.n = diagram.n
         self.prune = prune_zeros and not shape_only
@@ -346,10 +350,13 @@ def evaluate_fast_closed(
     """
     if diagram.vertices:
         raise DiagramStructureError("fast path inapplicable: diagram has vertices")
+    _check_dimension(diagram, binding)
     total = Fraction(1)
     for e in diagram.edges:
         if not e.is_free_loop:
             raise DiagramStructureError("fast path inapplicable: non-loop edge")
+        if e.marking and binding is None:
+            raise UnboundLabelError(e.marking[0])
         if e.marking:
             total *= matrices.mtrace(binding.edge_matrix(e.marking))
         else:

@@ -74,10 +74,6 @@ def mtrace(a: Matrix) -> Fraction:
     return sum((row[i] for i, row in enumerate(a)), Fraction(0))
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, row-major blocks of a scaled by b."""
     ra, ca = shape(a)

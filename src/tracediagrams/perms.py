@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import permutations
-
-
 def sign(images) -> int:
     """Sign of a permutation given as a sequence of images of 1..k."""
     images = tuple(images)
@@ -20,11 +17,6 @@ def sign(images) -> int:
 def compose(p, q) -> tuple[int, ...]:
     """(p . q)(i) = p(q(i)) for image tuples p, q."""
     return tuple(p[q[i - 1] - 1] for i in range(1, len(p) + 1))
-
-
-def all_perms(k: int):
-    """All permutations of 1..k as image tuples, in lexicographic order."""
-    return permutations(range(1, k + 1))
 
 
 def cycles(images) -> list[tuple[int, ...]]:

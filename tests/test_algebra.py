@@ -13,6 +13,7 @@ from tracediagrams import (
     FramingError,
     MatrixBinding,
     TraceDiagram,
+    TraceDiagramError,
     builders,
     compose,
     compose_sums,
@@ -21,10 +22,12 @@ from tracediagrams import (
     leaf,
     reframe,
     reframe_positions,
+    sum_closed_value,
     sum_function_matrix,
     tensor,
     weight,
 )
+from tracediagrams import algebra
 from tracediagrams import matrices as mx
 from tracediagrams.identities import random_diagram, trial_rng
 
@@ -218,6 +221,19 @@ def test_all_bases_mode_agrees():
     assert check.holds
     with pytest.raises(ValueError):
         is_relation(builders.binor_relation(), mode="sometimes")
+
+
+def test_all_bases_mode_reports_disagreeing_routes(monkeypatch):
+    monkeypatch.setattr(algebra, "weight", lambda *args: Fraction(1))
+    with pytest.raises(TraceDiagramError, match="routes disagree"):
+        is_relation(builders.binor_relation(), mode="all-bases")
+
+
+def test_empty_sum_has_no_value():
+    with pytest.raises(FramingError):
+        sum_closed_value(FormalSum(()))
+    with pytest.raises(FramingError):
+        sum_function_matrix(FormalSum(()))
 
 
 def test_vector_contraction_relation():

@@ -66,6 +66,13 @@ def test_eval_needs_diagram_choice(bound_files, capsys):
     assert "--diagram" in capsys.readouterr().err
 
 
+def test_eval_malformed_builtin_argument_exits_2(tmp_path, capsys):
+    tdg = tmp_path / "bad.tdg"
+    tdg.write_text("diagram d = builtin:id(x) @ dim 2\n", encoding="utf-8")
+    assert main(["eval", str(tdg)]) == 2
+    assert "syntax error" in capsys.readouterr().err
+
+
 def test_eval_missing_file(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.tdg")]) == 2
 

@@ -69,6 +69,21 @@ def test_builtin_requires_dimension():
         parse_diagram_set("diagram d = builtin:det(A)")
 
 
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (parse_diagram_set, "diagram d = builtin:id(x) @ dim 2"),
+        (parse_diagram_set, "dim \u00b2\nloop e1"),
+        (parse_relation, "dim x\n1 * builtin:id(1)\n"),
+        (parse_matrix_file, "vector u \u00b2\n1\n"),
+    ],
+    ids=["builtin-arg", "tdg-dim-superscript", "trel-dim", "tmat-superscript"],
+)
+def test_malformed_numbers_are_syntax_errors(parse, text):
+    with pytest.raises(DslSyntaxError):
+        parse(text)
+
+
 def test_round_trip_is_bit_exact():
     cases = [
         builders.determinant_diagram(3, "A"),

@@ -9,11 +9,13 @@ from hypothesis import given, strategies as st
 from tracediagrams import (
     Coloring,
     DiagramStructureError,
+    DimensionMismatchError,
     Edge,
     FramingError,
     LeafColoringError,
     MatrixBinding,
     TraceDiagram,
+    UnboundLabelError,
     builders,
     coefficient,
     enumerate_colorings,
@@ -190,6 +192,17 @@ def test_fast_closed_basics():
     )
     empty = TraceDiagram(3, (), (), inputs=(), outputs=())
     assert evaluate_fast_closed(empty) == 1
+
+
+def test_fast_closed_needs_a_binding_for_marked_loops():
+    with pytest.raises(UnboundLabelError):
+        evaluate_fast_closed(builders.trace_loop(2, ("A",)))
+
+
+def test_fast_closed_refuses_a_binding_of_another_dimension():
+    identity3 = MatrixBinding(3, {"A": mx.identity(3)})
+    with pytest.raises(DimensionMismatchError):
+        evaluate_fast_closed(builders.trace_loop(2, ("A",)), identity3)
 
 
 def test_fast_closed_refuses_vertices():

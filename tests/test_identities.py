@@ -1,5 +1,6 @@
 """Identity drivers, polarization, the Pfaffian scan, and reports."""
 
+import hashlib
 import json
 from fractions import Fraction
 from math import factorial
@@ -76,10 +77,62 @@ def test_run_identity_rejects_unknown_or_bad_dim():
 
 
 def test_parallel_trials_match_serial():
-    serial = run_identity("det-diagram", n=2, trials=6, seed=3, jobs=1)
-    parallel = run_identity("det-diagram", n=2, trials=6, seed=3, jobs=2)
-    assert serial.records == parallel.records
-    assert serial.status == parallel.status
+    pairs = [
+        (
+            run_identity("det-diagram", n=2, trials=6, seed=3, jobs=1),
+            run_identity("det-diagram", n=2, trials=6, seed=3, jobs=2),
+        ),
+        (pfaffian_scan(4, trials=6, seed=3), pfaffian_scan(4, trials=6, seed=3, jobs=2)),
+        # the polarize command has no --jobs; its runner does
+        (
+            polarization_check(2, trials=3, seed=3),
+            run_identity("polarization", n=2, trials=3, seed=3, jobs=2),
+        ),
+    ]
+    for serial, parallel in pairs:
+        assert serial.records == parallel.records
+        assert serial.status == parallel.status
+        assert serial.data == parallel.data
+
+
+# sha256 of record_lines() without "elapsed", at seed 0 and 5 trials, each
+# identity at its default dimension; polarization at n=2, the Pfaffian at n=4
+PINNED_RECORDS = {
+    "antisym-two-node": "e481885d7fd8c30c306eda6bd3efb15d13464bebd2cc10936599893cad3034c5",
+    "binor": "09eda496cdc41277a243e794c33a432e17d92f06fa68bc498c3a0dc5bdb4645f",
+    "ch": "b7a90a979a6d0b536fa03a3f3b635d320277a7d236be8c3f15613fb76266b8d3",
+    "ch-general": "fcfcc400b9e088e7b646acb9e4f0586d2099ad0cf0445eaa6a2bea108f2c71e3",
+    "charpoly": "c582e16f3682511a115517d8a8601e86c406ab8d7ca4c07192c4b564480a08bc",
+    "det-diagram": "d3b096a41ec677d1217dc2496b06e9febd58f93de63c9756baea1897de3fb44d",
+    "det-sum": "a5e0c44faeeba0e0fc8bce5080b0a6791fe6f7110f2b3824d2829079b64bc468",
+    "framing-independence": "8e2a998986518c110fff53673608584a74eeb67dbc43a0b18cacaabebb747d9c",
+    "fricke": "4e466c22d32146f2fccc2168da0bd243a080fba81f25452f33ba52e149039aef",
+    "functoriality": "6f991a551b7814e681b51db386540406c5411522db93797f9f5c1a4569d93420",
+    "symmetrizer-sum": "aa77da2ea5f290de380ae2cc78c4f188c78b692ddd5d912d1642176f1417c8ff",
+    "vector": "0e917f3cc65c4c43b097816874feaa00cec61f038fde47f826aa5b6d423ce992",
+    "polarization": "394d72a81ff04003c88172d034dafc3ab938dc8300974fcc1f1e72e81c56a2b4",
+    "pfaffian": "53bc2b9d93bb217adab44f8acf2ac1eea0095dd59379aa29fbf008de47aed306",
+}
+
+
+def _records_digest(report) -> str:
+    lines = []
+    for line in report.record_lines():
+        rec = json.loads(line)
+        rec.pop("elapsed", None)
+        lines.append(json.dumps(rec, sort_keys=True))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("identity", sorted(PINNED_RECORDS))
+def test_records_are_pinned(identity):
+    if identity == "polarization":
+        report = polarization_check(2, trials=5, seed=0)
+    elif identity == "pfaffian":
+        report = pfaffian_scan(4, trials=5, seed=0)
+    else:
+        report = run_identity(identity, trials=5, seed=0)
+    assert _records_digest(report) == PINNED_RECORDS[identity]
 
 
 def test_det_sum_special_cases():
