@@ -290,7 +290,9 @@ def sum_function_matrix(
     """Function matrix of a formal sum: the coefficient-weighted sum of term matrices."""
     total: Optional[FunctionMatrix] = None
     for c, d in _nonempty_terms(s):
-        fm = c * function_matrix(d, binding, prune_zeros)
+        fm = function_matrix(d, binding, prune_zeros)
+        if c != 1:
+            fm = c * fm
         total = fm if total is None else total + fm
     return total
 

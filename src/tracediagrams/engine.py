@@ -11,8 +11,21 @@ the vector entry selected by the label at that end. Framed diagrams sum these
 contributions into a matrix indexed by output and input leaf labels in mixed
 radix, leftmost leaf most significant.
 
-All arithmetic is over ``Fraction``; enumeration order is lexicographic over
-edges sorted by id, so results and streams are deterministic.
+The sum is computed without listing the colorings. Edges are taken in id
+order, head label before tail label, and the partial colorings are merged by
+what the rest of the sum can still see: the set of labels used so far at each
+internal vertex, kept as a bitmask, and the labels placed at the open leaves
+that a function matrix is indexed by. This reads each internal vertex as an
+exterior product: the determinant diagram passes through C(2n, n) states in
+all rather than (n!)^2 colorings. A placed label's sign is the parity of the larger
+labels already at its vertex, which gives the sign of the vertex read in
+placement order; one sign per vertex, fixed by the diagram, converts that to
+the ciliation order. :func:`enumerate_colorings`, :func:`signature` and
+:func:`coefficient` keep the definition itself, and the tests compare the two.
+
+All arithmetic is over ``Fraction`` and ``int``. :func:`enumerate_colorings`
+yields in lexicographic order over edges sorted by id, so results and streams
+are deterministic.
 """
 
 from __future__ import annotations
@@ -117,47 +130,22 @@ def _check_dimension(diagram: TraceDiagram, binding: Optional[MatrixBinding]) ->
         )
 
 
-class _Prepared:
-    """Indexed view of a diagram, optionally with bound matrices, for the enumerator."""
+class _Shape:
+    """Validated index of a diagram's edge ends; it does not depend on a binding.
 
-    def __init__(
-        self,
-        diagram: TraceDiagram,
-        binding: Optional[MatrixBinding],
-        prune_zeros: bool,
-        shape_only: bool = False,
-    ):
+    Built once per diagram object by :func:`_shape`.
+    """
+
+    def __init__(self, diagram: TraceDiagram):
         result = validate(diagram)
         if not result.ok:
             raise DiagramStructureError("; ".join(result.violations))
-        _check_dimension(diagram, binding)
-        self.diagram = diagram
         self.n = diagram.n
-        self.prune = prune_zeros and not shape_only
         self.edges = sorted(diagram.edges, key=lambda e: e.id)
-
-        if not shape_only:
-            needs_binding = any(e.marking for e in diagram.edges) or any(
-                v.vector_label for v in diagram.vertices
-            )
-            if needs_binding and binding is None:
-                missing = sorted(diagram.matrix_labels() | diagram.vector_labels())
-                raise UnboundLabelError(missing[0])
-
-        self.eff: dict[str, Optional[matrices.Matrix]] = {}
-        for e in self.edges:
-            self.eff[e.id] = (
-                binding.edge_matrix(e.marking) if e.marking and not shape_only else None
-            )
-
+        self.labels = sorted(diagram.matrix_labels() | diagram.vector_labels())
         self.internal_ids = [v.id for v in diagram.vertices if v.kind == INTERNAL]
-        self.cil_refs = [
-            (v.id, tuple((r.edge, r.end) for r in v.ciliation))
-            for v in diagram.vertices
-            if v.kind == INTERNAL
-        ]
         self.end_vertex: dict[tuple[str, str], str] = {}
-        self.end_vector: dict[tuple[str, str], matrices.Vector] = {}
+        self.vector_end: dict[tuple[str, str], str] = {}  # end -> vector label
         self.open_end: dict[str, tuple[str, str]] = {}
         byid = {v.id: v for v in diagram.vertices}
         for e in self.edges:
@@ -169,10 +157,40 @@ class _Prepared:
                 if v.kind == INTERNAL:
                     self.end_vertex[(e.id, end)] = vid
                 elif v.vector_label is not None:
-                    if not shape_only:
-                        self.end_vector[(e.id, end)] = binding.vector(v.vector_label)
+                    self.vector_end[(e.id, end)] = v.vector_label
                 else:
                     self.open_end[vid] = (e.id, end)
+
+        # The signed sum places labels edge by edge, head before tail, so each
+        # vertex first reads its labels in that order. The sign of the
+        # permutation from there to the ciliation order does not depend on
+        # the labels, so it is one factor for the whole sum.
+        self.slot = {vid: k * self.n for k, vid in enumerate(self.internal_ids)}
+        rank: dict[tuple[str, str], int] = {}
+        placed = dict.fromkeys(self.internal_ids, 0)
+        for e in self.edges:
+            for end in (HEAD, TAIL):
+                vid = self.end_vertex.get((e.id, end))
+                if vid is not None:
+                    rank[(e.id, end)] = placed[vid]
+                    placed[vid] += 1
+        self.reading_sign = 1
+        for v in diagram.vertices:
+            if v.kind == INTERNAL:
+                self.reading_sign *= perms.sign(rank[(r.edge, r.end)] for r in v.ciliation)
+        # per edge: its id, whether head and tail share one label, and per end
+        # (head first) the end's key and its vertex's bit offset or None
+        self.edge_ends = [
+            (
+                e.id,
+                e.is_free_loop or not e.marking,
+                tuple(
+                    ((e.id, end), self.slot.get(self.end_vertex.get((e.id, end))))
+                    for end in (HEAD, TAIL)
+                ),
+            )
+            for e in self.edges
+        ]
 
     def colorings(
         self, pinned: Optional[dict[tuple[str, str], int]] = None
@@ -189,26 +207,17 @@ class _Prepared:
             if want is not None and want != label:
                 return False
             vid = self.end_vertex.get((e.id, end))
-            if vid is not None and label in used[vid]:
-                return False
-            if self.prune:
-                vec = self.end_vector.get((e.id, end))
-                if vec is not None and vec[label - 1] == 0:
-                    return False
-            return True
+            return vid is None or label not in used[vid]
 
         def place(i: int) -> Iterator[dict[str, tuple[int, int]]]:
             if i == len(edges):
                 yield dict(assignment)
                 return
             e = edges[i]
-            eff = self.eff[e.id]
             tied = e.is_free_loop or not e.marking
             for h in range(1, n + 1):
                 tails = (h,) if tied else range(1, n + 1)
                 for t in tails:
-                    if self.prune and eff is not None and eff[h - 1][t - 1] == 0:
-                        continue
                     if not admissible(e, HEAD, h) or not admissible(e, TAIL, t):
                         continue
                     vh = self.end_vertex.get((e.id, HEAD))
@@ -229,26 +238,6 @@ class _Prepared:
 
         yield from place(0)
 
-    def contribution(self, labels: dict[str, tuple[int, int]]) -> Fraction:
-        """sign * coefficient of one admissible coloring."""
-        sign = 1
-        for _, refs in self.cil_refs:
-            images = []
-            for eid, end in refs:
-                h, t = labels[eid]
-                images.append(h if end == HEAD else t)
-            sign *= perms.sign(images)
-        coeff = Fraction(1)
-        for e in self.edges:
-            eff = self.eff[e.id]
-            if eff is not None:
-                h, t = labels[e.id]
-                coeff *= eff[h - 1][t - 1]
-        for (eid, end), vec in self.end_vector.items():
-            h, t = labels[eid]
-            coeff *= vec[(h if end == HEAD else t) - 1]
-        return sign * coeff
-
     def pin_leaves(self, leaf_coloring: LeafColoring) -> dict[tuple[str, str], int]:
         pinned = {}
         for vid, label in leaf_coloring.items():
@@ -260,6 +249,131 @@ class _Prepared:
         return pinned
 
 
+def _shape(diagram: TraceDiagram) -> _Shape:
+    """The diagram's :class:`_Shape`, kept on the diagram after the first call.
+
+    Diagrams are immutable, so the shape stays valid; repeated evaluations of
+    one diagram (every leaf coloring of a weight table, say) validate it once.
+    """
+    shape = diagram.__dict__.get("_shape")
+    if shape is None:
+        shape = _Shape(diagram)
+        object.__setattr__(diagram, "_shape", shape)
+    return shape
+
+
+class _Prepared:
+    """A diagram's shape with the bound matrices and vectors it uses."""
+
+    def __init__(
+        self,
+        diagram: TraceDiagram,
+        binding: Optional[MatrixBinding],
+        prune_zeros: bool,
+    ):
+        self.shape = shape = _shape(diagram)
+        _check_dimension(diagram, binding)
+        if shape.labels and binding is None:
+            raise UnboundLabelError(shape.labels[0])
+        self.prune = prune_zeros
+        self.eff: dict[str, matrices.Matrix] = {
+            e.id: binding.edge_matrix(e.marking) for e in shape.edges if e.marking
+        }
+        self.end_vector: dict[tuple[str, str], matrices.Vector] = {
+            end: binding.vector(label) for end, label in shape.vector_end.items()
+        }
+
+    def signed_sum(
+        self,
+        pinned: Mapping[tuple[str, str], int],
+        places: Mapping[tuple[str, str], int],
+    ) -> dict[int, Fraction]:
+        """Sum of sign * coefficient over the colorings extending ``pinned``,
+        split by ``sum(places[end] * (label at end - 1))`` over the open ends
+        in ``places``.
+
+        A state is one int: n bits per internal vertex holding the labels used
+        there so far, and above them the partial ``places`` index. Colorings
+        that reach the same state merge, so the cost follows the number of
+        states, not of colorings. Each placed label contributes the parity of
+        the larger labels already at its vertex, which builds the sign of the
+        placement-order reading; ``reading_sign`` turns it into the
+        ciliation reading.
+        """
+        shape = self.shape
+        shift = shape.n * len(shape.internal_ids)
+        states: dict[int, Fraction] = {0: 1}
+        for edge in shape.edge_ends:
+            moves = self._moves(edge, pinned, places, shift)
+            grown: dict[int, Fraction] = {}
+            for state, value in states.items():
+                for need, add, parity, pos, neg in moves:
+                    if state & need:
+                        continue
+                    key = state + add
+                    term = value * (neg if (state & parity).bit_count() & 1 else pos)
+                    if key in grown:
+                        grown[key] += term
+                    else:
+                        grown[key] = term
+            states = grown
+        if shape.reading_sign < 0:
+            return {key >> shift: -v for key, v in states.items()}
+        return {key >> shift: v for key, v in states.items()}
+
+    def _moves(self, edge, pinned, places, shift) -> list[tuple]:
+        """The label pairs one edge may take, as (bits that must be free,
+        state increment, sign-parity mask, coefficient, -coefficient).
+
+        Pairs with the same effect on the state merge into one move with the
+        summed coefficient; a pinned end offers only its pinned label.
+        """
+        n = self.shape.n
+        eid, tied, ((hkey, hslot), (tkey, tslot)) = edge
+        want = pinned.get(hkey)
+        heads = range(1, n + 1) if want is None else (want,)
+        want = pinned.get(tkey)
+        tails = range(1, n + 1) if want is None else (want,)
+        if tied:
+            pairs = [(h, h) for h in heads if h in tails]
+        else:
+            pairs = [(h, t) for h in heads for t in tails]
+        eff = self.eff.get(eid)
+        hvec, tvec = self.end_vector.get(hkey), self.end_vector.get(tkey)
+        hplace, tplace = places.get(hkey, 0) << shift, places.get(tkey, 0) << shift
+        merged: dict[tuple[int, int, int], Fraction] = {}
+        for h, t in pairs:
+            c = 1 if eff is None else eff[h - 1][t - 1]
+            if hvec is not None:
+                c *= hvec[h - 1]
+            if tvec is not None:
+                c *= tvec[t - 1]
+            need = parity = 0
+            if hslot is not None:
+                need = 1 << (hslot + h - 1)
+                parity = ((1 << n) - (1 << h)) << hslot
+            if tslot is not None:
+                bit = 1 << (tslot + t - 1)
+                if need & bit:  # both ends at one vertex with one label
+                    continue
+                larger = ((1 << n) - (1 << t)) << tslot
+                if need & larger:  # the head, at this vertex, holds a larger label
+                    c = -c
+                need |= bit
+                parity ^= larger
+            move = (need, need + hplace * (h - 1) + tplace * (t - 1), parity)
+            if move in merged:
+                merged[move] += c
+            else:
+                merged[move] = c
+        # a move whose parity mask is empty never flips its sign
+        return [
+            (*move, c, -c if move[2] else c)
+            for move, c in merged.items()
+            if c or not self.prune
+        ]
+
+
 def enumerate_colorings(
     diagram: TraceDiagram, precoloring: Optional[LeafColoring] = None
 ) -> Iterator[Coloring]:
@@ -268,9 +382,8 @@ def enumerate_colorings(
     No binding is consulted: the stream depends only on the diagram shape.
     Order is lexicographic in (head, tail) pairs over edges sorted by id.
     """
-    prep = _Prepared(diagram, None, prune_zeros=False, shape_only=True)
-    pinned = prep.pin_leaves(precoloring or {})
-    for labels in prep.colorings(pinned):
+    shape = _shape(diagram)
+    for labels in shape.colorings(shape.pin_leaves(precoloring or {})):
         yield Coloring.from_dict(labels)
 
 
@@ -315,16 +428,14 @@ def weight(
 ) -> Fraction:
     """Signed sum of coefficients over all colorings extending a total leaf coloring."""
     prep = _Prepared(diagram, binding, prune_zeros)
-    if set(leaf_coloring) != set(prep.open_end):
+    open_end = prep.shape.open_end
+    if set(leaf_coloring) != set(open_end):
         raise LeafColoringError(
             "leaf coloring must cover exactly the open leaves: "
-            f"got {sorted(leaf_coloring)}, expected {sorted(prep.open_end)}"
+            f"got {sorted(leaf_coloring)}, expected {sorted(open_end)}"
         )
-    pinned = prep.pin_leaves(leaf_coloring)
-    total = Fraction(0)
-    for labels in prep.colorings(pinned):
-        total += prep.contribution(labels)
-    return total
+    pinned = prep.shape.pin_leaves(leaf_coloring)
+    return Fraction(prep.signed_sum(pinned, {}).get(0, 0))
 
 
 def evaluate_closed(
@@ -378,20 +489,14 @@ def function_matrix(
         raise FramingError("function matrix needs a framed diagram")
     prep = _Prepared(diagram, binding, prune_zeros)
     n = diagram.n
-    in_ends = [prep.open_end[vid] for vid in diagram.inputs]
-    out_ends = [prep.open_end[vid] for vid in diagram.outputs]
+    in_ends = [prep.shape.open_end[vid] for vid in diagram.inputs]
+    out_ends = [prep.shape.open_end[vid] for vid in diagram.outputs]
     rows, cols = n ** len(out_ends), n ** len(in_ends)
+    places = {end: n**k for k, end in enumerate(reversed(in_ends))}
+    places.update({end: cols * n**k for k, end in enumerate(reversed(out_ends))})
     grid = [[Fraction(0)] * cols for _ in range(rows)]
-
-    def end_label(labels, end_key):
-        h, t = labels[end_key[0]]
-        return h if end_key[1] == HEAD else t
-
-    for labels in prep.colorings():
-        alpha = tuple(end_label(labels, k) for k in in_ends)
-        beta = tuple(end_label(labels, k) for k in out_ends)
-        grid[tensor_index(beta, n)][tensor_index(alpha, n)] += prep.contribution(labels)
-
+    for idx, value in prep.signed_sum({}, places).items():
+        grid[idx // cols][idx % cols] = Fraction(value)
     return FunctionMatrix(
         n, len(in_ends), len(out_ends), tuple(tuple(row) for row in grid)
     )

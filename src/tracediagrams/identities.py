@@ -487,8 +487,13 @@ def _check_framing_independence(n: int, rng: Random, trial: int) -> dict:
     d = tensor(builders.matrix_strand(3, ("A",)), builders.matrix_strand(3, ("B",)))
     leaves = list(d.inputs) + list(d.outputs)
     colorings = [dict(zip(leaves, c)) for c in product(range(1, 4), repeat=len(leaves))]
+    weights = [weight(d, c, binding) for c in colorings]
     reframed = (reframe(d, ins, outs) for ins, outs in _bitmask_splits(leaves))
-    if any(weight(d, c, binding) != weight(rd, c, binding) for rd in reframed for c in colorings):
+    if any(
+        weight(rd, c, binding) != w
+        for rd in reframed
+        for c, w in zip(colorings, weights)
+    ):
         problems.append("weight changed under reframing")
     return _verdict(problems)
 
@@ -720,6 +725,10 @@ def run_identity(
     if entry.dims is not None and n not in entry.dims:
         raise TraceDiagramError(
             f"identity {identity!r} supports dimensions {entry.dims}, got {n}"
+        )
+    if trials < 1 or jobs < 1:
+        raise TraceDiagramError(
+            f"trials and jobs must be at least 1, got trials={trials}, jobs={jobs}"
         )
     start = time.monotonic()
     results = _map_trials(identity, n, trials, seed, jobs)

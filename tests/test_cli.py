@@ -87,6 +87,24 @@ def test_verify_wrong_dimension_exits_2(capsys):
     assert main(["verify", "binor", "--dim", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "det-diagram", "--trials", "0"],
+        ["verify", "det-diagram", "--trials", "-3"],
+        ["verify", "det-diagram", "--jobs", "0"],
+        ["polarize", "--trials", "0"],
+        ["pfaffian", "--dim", "2", "--trials", "0"],
+        ["pfaffian", "--dim", "2", "--jobs", "0"],
+    ],
+)
+def test_empty_trial_runs_exit_2(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "at least 1" in captured.err
+    assert "proven-exact-on-samples" not in captured.out
+
+
 def test_verify_jobs_do_not_change_output(capsys):
     args = ["verify", "det-diagram", "--dim", "2", "--trials", "4", "--seed", "1",
             "--format", "records"]

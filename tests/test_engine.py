@@ -1,10 +1,12 @@
 """Evaluation engine: enumeration, signatures, coefficients, weights, matrices."""
 
 from fractions import Fraction
+from itertools import product
+from math import factorial
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tracediagrams import (
     Coloring,
@@ -28,6 +30,7 @@ from tracediagrams import (
 from tracediagrams import matrices as mx
 from tracediagrams.algebra import tensor
 from tracediagrams.engine import index_tensor, tensor_index
+from tracediagrams.identities import random_diagram, random_skew_matrix
 
 
 def binding2():
@@ -272,3 +275,128 @@ def test_permutation_sign_is_multiplicative(p, q):
     from tracediagrams import perms
 
     assert perms.sign(perms.compose(p, q)) == perms.sign(p) * perms.sign(q)
+
+
+# ---------------------------------------------------------------------------
+# The signed-sum engine against the coloring enumerator, which is the definition
+
+
+def _enumerated_matrix(d, b):
+    """sum of signature * coefficient over enumerate_colorings, keyed by (beta, alpha)."""
+    ins, outs = d.inputs or (), d.outputs or ()
+    sums = {}
+    for col in enumerate_colorings(d):
+        key = (
+            tuple(col.at(d.leaf_end(v)) for v in outs),
+            tuple(col.at(d.leaf_end(v)) for v in ins),
+        )
+        sums[key] = sums.get(key, 0) + signature(d, col) * coefficient(d, col, b)
+    return sums
+
+
+def _enumerated_weight(d, leaf_coloring, b):
+    return sum(
+        signature(d, col) * coefficient(d, col, b)
+        for col in enumerate_colorings(d, leaf_coloring)
+    )
+
+
+def _assert_engine_matches_enumerator(d, b, rng):
+    sums = _enumerated_matrix(d, b)
+    fm = function_matrix(d, b)
+    n = d.n
+    for beta in product(range(1, n + 1), repeat=fm.output_arity):
+        for alpha in product(range(1, n + 1), repeat=fm.input_arity):
+            assert fm.entry(beta, alpha) == sums.get((beta, alpha), 0)
+    assert function_matrix(d, b, prune_zeros=False).entries == fm.entries
+    leaves = {vid: rng.randint(1, n) for vid in d.open_leaves()}
+    assert weight(d, leaves, b) == _enumerated_weight(d, leaves, b)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from((4, 3, 2, 1)),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_engine_matches_enumerator_on_random_diagrams(n, n_in, n_out, seed):
+    assume(not (n % 2 == 0 and (n_in + n_out) % 2))
+    rng = Random(seed)
+    d = random_diagram(rng, n, n_in, n_out)
+    # small entries, so about one in five is zero and zero pruning is exercised
+    b = MatrixBinding(
+        n,
+        {
+            lab: [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            for lab in ("A", "B")
+        },
+    )
+    _assert_engine_matches_enumerator(d, b, rng)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        builders.cross_dot_closed("u", "v", "w", "x"),
+        builders.cross_product_diagram("u", "v"),
+        builders.dot_product_diagram("u", "v"),
+        builders.pfaffian_diagram(4, "A"),
+        builders.matrix_strand(3, ("A", "B")),
+    ],
+    ids=["cross-dot", "cross-product", "dot-product", "pfaffian-4", "marked-strand"],
+)
+def test_engine_matches_enumerator_on_fixed_diagrams(d):
+    rng = Random(d.n)
+    n = d.n
+    b = MatrixBinding(
+        n,
+        {lab: [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for lab in "AB"},
+        {lab: [rng.randint(-1, 2) for _ in range(n)] for lab in "uvwx"},
+    )
+    _assert_engine_matches_enumerator(d, b, rng)
+
+
+def test_one_diagram_object_under_several_bindings():
+    # the engine keeps a diagram's validated shape on the diagram; bindings
+    # and leaf colorings must still be read afresh on every call
+    d = builders.determinant_diagram(3, "A")
+    for seed in range(3):
+        rng = Random(seed)
+        a = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        want = -6 * mx.bareiss_det(mx.freeze_matrix(a))
+        assert evaluate_closed(d, MatrixBinding(3, {"A": a})) == want
+    with pytest.raises(UnboundLabelError):
+        evaluate_closed(d)
+    with pytest.raises(DimensionMismatchError):
+        evaluate_closed(d, MatrixBinding(2, {"A": mx.identity(2)}))
+    s = builders.two_node_antisym(3, 2)
+    assert weight(s, {"in1": 1, "in2": 2, "out1": 2, "out2": 1}) == 1
+    assert weight(s, {"in1": 1, "in2": 2, "out1": 1, "out2": 2}) == -1
+
+
+def test_determinant_diagram_at_seven():
+    a = mx.freeze_matrix([[Random(7 * i + j).randint(-9, 9) for j in range(7)] for i in range(7)])
+    d = builders.determinant_diagram(7, "A")
+    assert evaluate_closed(d, MatrixBinding(7, {"A": a})) == (
+        (-1) ** 3 * factorial(7) * mx.bareiss_det(a)
+    )
+
+
+def test_char_coeff_diagrams_at_six():
+    rng = Random("charpoly-6")
+    n = 6
+    a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    b = MatrixBinding(n, {"A": a})
+    coeffs = mx.charpoly_fl(b.matrix("A"))
+    for i in range(n + 1):
+        value = evaluate_closed(builders.char_coeff_diagram(n, i, "A"), b)
+        scale = Fraction((-1) ** (i + n // 2), factorial(i) * factorial(n - i))
+        assert scale * value == coeffs[i]
+
+
+def test_pfaffian_diagram_at_eight():
+    a = random_skew_matrix(Random("pfaffian-8"), 8)
+    value = evaluate_closed(builders.pfaffian_diagram(8, "A"), MatrixBinding(8, {"A": a}))
+    # the constant the Pfaffian scan measures: (-1)^m 2^m m! with m = n/2
+    assert value == (-1) ** 4 * 2**4 * factorial(4) * mx.pfaffian_matchings(a)

@@ -8,7 +8,13 @@ from random import Random
 
 import pytest
 
-from tracediagrams import HomogeneityError, MatrixBinding, builders, validate
+from tracediagrams import (
+    HomogeneityError,
+    MatrixBinding,
+    TraceDiagramError,
+    builders,
+    validate,
+)
 from tracediagrams import matrices as mx
 from tracediagrams.identities import (
     VerificationReport,
@@ -273,9 +279,17 @@ def test_pfaffian_scan_consistent():
 
 
 def test_pfaffian_scan_inconclusive_without_samples():
-    rep = pfaffian_scan(2, trials=0, seed=0)
+    # every skew-symmetric matrix of odd size has Pfaffian 0
+    rep = pfaffian_scan(3, trials=4, seed=0)
     assert rep.status == "inconclusive"
     assert rep.data["constant"] == "undetermined"
+
+
+@pytest.mark.parametrize("identity", ["det-diagram", "polarization", "pfaffian"])
+@pytest.mark.parametrize("trials, jobs", [(0, 1), (-3, 1), (2, 0)])
+def test_run_identity_refuses_empty_runs(identity, trials, jobs):
+    with pytest.raises(TraceDiagramError):
+        run_identity(identity, n=2, trials=trials, jobs=jobs)
 
 
 def test_random_diagram_is_valid_and_framed():
