@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import matrices
 from .diagram import (
     HEAD,
     INTERNAL,
@@ -287,14 +286,23 @@ def sum_function_matrix(
     binding: Optional[MatrixBinding] = None,
     prune_zeros: bool = True,
 ) -> FunctionMatrix:
-    """Function matrix of a formal sum: the coefficient-weighted sum of term matrices."""
-    total: Optional[FunctionMatrix] = None
+    """Function matrix of a formal sum: the coefficient-weighted sum of term matrices.
+
+    The terms' nonzero cells are added into one map; cells that cancel are dropped.
+    """
+    shape = None
+    total: dict[int, Fraction] = {}
     for c, d in _nonempty_terms(s):
         fm = function_matrix(d, binding, prune_zeros)
-        if c != 1:
-            fm = c * fm
-        total = fm if total is None else total + fm
-    return total
+        if shape is None:
+            shape = (fm.n, fm.input_arity, fm.output_arity)
+        elif (fm.n, fm.input_arity, fm.output_arity) != shape:
+            raise FramingError("function matrices have different shapes")
+        for idx, x in fm.cells.items():
+            if c != 1:
+                x = c * x
+            total[idx] = total[idx] + x if idx in total else x
+    return FunctionMatrix(*shape, {idx: x for idx, x in total.items() if x})
 
 
 def sum_closed_value(
@@ -330,29 +338,29 @@ def is_relation(
         raise ValueError(f"unknown mode {mode!r}")
     fs = _as_sum(s)
     fm = sum_function_matrix(fs, binding)
-    worst = Fraction(0)
-    witness = None
-    for r, row in enumerate(fm.entries):
-        for c, x in enumerate(row):
-            if x != 0 and abs(x.numerator) >= abs(worst.numerator):
-                worst = x
-                witness = (
-                    index_tensor(r, fm.n, fm.output_arity),
-                    index_tensor(c, fm.n, fm.input_arity),
-                )
+    n, cols = fm.n, fm.n**fm.input_arity
+    # row-major scan; on ties in |numerator| the last cell wins
+    worst, witness = Fraction(0), None
+    for idx in sorted(fm.cells):
+        x = fm.cells[idx]
+        if abs(x.numerator) >= abs(worst.numerator):
+            worst = x
+            witness = (
+                index_tensor(idx // cols, n, fm.output_arity),
+                index_tensor(idx % cols, n, fm.input_arity),
+            )
     if mode == "all-bases":
-        n = fm.n
         for r in range(n**fm.output_arity):
             beta = index_tensor(r, n, fm.output_arity)
-            for c in range(n**fm.input_arity):
+            for c in range(cols):
                 alpha = index_tensor(c, n, fm.input_arity)
                 entry = Fraction(0)
                 for coeff, d in fs.terms:
                     leaf_coloring = dict(zip(d.inputs, alpha))
                     leaf_coloring.update(zip(d.outputs, beta))
                     entry += coeff * weight(d, leaf_coloring, binding)
-                if entry != fm.entries[r][c]:
+                if entry != fm.cells.get(r * cols + c, 0):
                     raise TraceDiagramError(
                         "function-matrix and per-basis weight routes disagree"
                     )
-    return RelationCheck(worst == 0, worst, witness if worst != 0 else None)
+    return RelationCheck(worst == 0, worst, witness)

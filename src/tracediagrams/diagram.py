@@ -308,6 +308,9 @@ class MatrixBinding:
     n: int
     matrices: Mapping[str, matrices.Matrix] = field(default_factory=dict)
     vectors: Mapping[str, matrices.Vector] = field(default_factory=dict)
+    _word_products: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n < 1:
@@ -340,8 +343,17 @@ class MatrixBinding:
             raise UnboundLabelError(label) from None
 
     def edge_matrix(self, marking: tuple[str, ...]) -> matrices.Matrix:
-        """Product of a marking word, first label nearest the head."""
-        return matrices.word_product([self.matrix(lab) for lab in marking])
+        """Product of a marking word, first label nearest the head.
+
+        Each word's product is computed once and kept on the binding, which is
+        immutable, so the kept product stays valid.
+        """
+        marking = tuple(marking)
+        product = self._word_products.get(marking)
+        if product is None:
+            product = matrices.word_product([self.matrix(lab) for lab in marking])
+            self._word_products[marking] = product
+        return product
 
 
 def are_isomorphic(a: TraceDiagram, b: TraceDiagram) -> bool:

@@ -68,6 +68,13 @@ def _check_id(token: str, line: int) -> str:
     return token
 
 
+def _rational(token: str, line: int) -> Fraction:
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DslSyntaxError(f"bad rational {token!r}: {exc}", line) from None
+
+
 def parse_builtin_ref(text: str, default_dim: Optional[int], line: int = 0) -> Entity:
     m = _BUILTIN_RE.match(text.strip())
     if not m:
@@ -155,13 +162,13 @@ class _Draft:
             e = edge_map.get(name)
             if e is None:
                 raise DslSyntaxError(f"framing names unknown edge {name!r}", line)
-            byid = {v.id: v for v in vertices}
+            open_leaves = {
+                v.id for v in vertices if v.kind == LEAF and v.vector_label is None
+            }
             leaf_sides = [
                 e.vertex_at(side)
                 for side in (TAIL, HEAD)
-                if e.vertex_at(side) is not None
-                and byid[e.vertex_at(side)].kind == LEAF
-                and byid[e.vertex_at(side)].vector_label is None
+                if e.vertex_at(side) in open_leaves
             ]
             if at is not None:
                 if at not in leaf_sides:
@@ -216,6 +223,8 @@ def _feed(draft: _Draft, line: int, stmt: str) -> None:
             raise DslSyntaxError(f"unknown vertex kind {words[2]!r}", line)
     elif head in ("edge", "loop"):
         if head == "loop":
+            if len(words) < 2:
+                raise DslSyntaxError("expected 'loop <id> [mark ...]'", line)
             words = ["edge", words[1], "loop"] + words[2:]
         if len(words) < 3:
             raise DslSyntaxError("expected 'edge <id> <tail> <head>'", line)
@@ -337,7 +346,7 @@ def parse_relation(
         words = stmt.split()
         m = _TERM_RE.match(stmt)
         if m:
-            term_lines.append((line, Fraction(m.group(1)), m.group(2).strip()))
+            term_lines.append((line, _rational(m.group(1), line), m.group(2).strip()))
         elif words[0] == "use":
             raise DslSyntaxError(
                 "'use' requires file context; call parse_relation_file", line
@@ -396,10 +405,7 @@ def parse_matrix_file(text: str) -> MatrixBinding:
     n: Optional[int] = None
 
     def parse_row(stmt: str, line: int, want: int) -> list[Fraction]:
-        try:
-            row = [Fraction(tok) for tok in stmt.split()]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DslSyntaxError(f"bad rational entry: {exc}", line) from None
+        row = [_rational(tok, line) for tok in stmt.split()]
         if len(row) != want:
             raise DslSyntaxError(f"expected {want} entries, got {len(row)}", line)
         return row

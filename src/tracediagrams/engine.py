@@ -9,7 +9,8 @@ selected matrix entries, one per edge: entry ``(head label, tail label)`` of
 the product of the edge's marking word. Vector-terminated leaves contribute
 the vector entry selected by the label at that end. Framed diagrams sum these
 contributions into a matrix indexed by output and input leaf labels in mixed
-radix, leftmost leaf most significant.
+radix, leftmost leaf most significant. A :class:`FunctionMatrix` keeps only the
+nonzero entries of that matrix; its dense form is built when first asked for.
 
 The sum is computed without listing the colorings. Edges are taken in id
 order, head label before tail label, and the partial colorings are merged by
@@ -30,8 +31,9 @@ are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 from . import matrices, perms
@@ -56,6 +58,8 @@ from .errors import (
 
 LeafColoring = Mapping[str, int]  # open-leaf vertex id -> label in 1..n
 
+_ZERO = Fraction(0)
+
 
 def tensor_index(labels, n: int) -> int:
     """Mixed-radix rank of a label tuple, leftmost position most significant."""
@@ -75,27 +79,46 @@ def index_tensor(idx: int, n: int, arity: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FunctionMatrix:
-    """Matrix of a framed diagram's multilinear function in the standard tensor basis."""
+    """Matrix of a framed diagram's multilinear function in the standard tensor basis.
+
+    Only the nonzero entries are stored: ``cells`` maps the flat index
+    ``row * n**input_arity + col`` to its value, where rows are output and
+    columns input labels in mixed radix. A permutation diagram on k strands
+    has n^k nonzero entries out of n^(2k). ``entries`` and :meth:`as_matrix`
+    give the dense ``n^out x n^in`` form, built on first use and kept.
+    """
 
     n: int
     input_arity: int
     output_arity: int
-    entries: tuple[tuple[Fraction, ...], ...]  # n^out rows, n^in cols
+    cells: dict[int, Fraction] = field(hash=False)  # flat index -> nonzero value
+
+    @cached_property
+    def entries(self) -> matrices.Matrix:
+        cols = self.n**self.input_arity
+        grid = [[_ZERO] * cols for _ in range(self.n**self.output_arity)]
+        for idx, x in self.cells.items():
+            grid[idx // cols][idx % cols] = x
+        return tuple(tuple(row) for row in grid)
 
     def entry(self, beta, alpha) -> Fraction:
-        return self.entries[tensor_index(beta, self.n)][tensor_index(alpha, self.n)]
+        idx = tensor_index(beta, self.n) * self.n**self.input_arity
+        return self.cells.get(idx + tensor_index(alpha, self.n), _ZERO)
 
     def column(self, alpha) -> tuple[Fraction, ...]:
+        cols = self.n**self.input_arity
         j = tensor_index(alpha, self.n)
-        return tuple(row[j] for row in self.entries)
+        return tuple(
+            self.cells.get(r * cols + j, _ZERO) for r in range(self.n**self.output_arity)
+        )
 
     def is_zero(self) -> bool:
-        return matrices.is_zero_matrix(self.entries)
+        return not self.cells
 
     def scalar(self) -> Fraction:
         if self.input_arity or self.output_arity:
             raise FramingError("scalar() needs a 0-in/0-out matrix")
-        return self.entries[0][0]
+        return self.cells.get(0, _ZERO)
 
     def as_matrix(self) -> matrices.Matrix:
         return self.entries
@@ -107,20 +130,17 @@ class FunctionMatrix:
             other.output_arity,
         ):
             raise FramingError("function matrices have different shapes")
-        return FunctionMatrix(
-            self.n,
-            self.input_arity,
-            self.output_arity,
-            matrices.madd(self.entries, other.entries),
-        )
+        cells = dict(self.cells)
+        for idx, x in other.cells.items():
+            total = cells.pop(idx, 0) + x
+            if total:
+                cells[idx] = total
+        return FunctionMatrix(self.n, self.input_arity, self.output_arity, cells)
 
     def __rmul__(self, c) -> "FunctionMatrix":
-        return FunctionMatrix(
-            self.n,
-            self.input_arity,
-            self.output_arity,
-            matrices.mscale(c, self.entries),
-        )
+        c = Fraction(c)
+        cells = {idx: c * x for idx, x in self.cells.items()} if c else {}
+        return FunctionMatrix(self.n, self.input_arity, self.output_arity, cells)
 
 
 def _check_dimension(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> None:
@@ -491,12 +511,13 @@ def function_matrix(
     n = diagram.n
     in_ends = [prep.shape.open_end[vid] for vid in diagram.inputs]
     out_ends = [prep.shape.open_end[vid] for vid in diagram.outputs]
-    rows, cols = n ** len(out_ends), n ** len(in_ends)
+    cols = n ** len(in_ends)
     places = {end: n**k for k, end in enumerate(reversed(in_ends))}
     places.update({end: cols * n**k for k, end in enumerate(reversed(out_ends))})
-    grid = [[Fraction(0)] * cols for _ in range(rows)]
-    for idx, value in prep.signed_sum({}, places).items():
-        grid[idx // cols][idx % cols] = Fraction(value)
-    return FunctionMatrix(
-        n, len(in_ends), len(out_ends), tuple(tuple(row) for row in grid)
-    )
+    # a sum that no matrix or vector entered holds ints
+    cells = {
+        idx: value if isinstance(value, Fraction) else Fraction(value)
+        for idx, value in prep.signed_sum({}, places).items()
+        if value
+    }
+    return FunctionMatrix(n, len(in_ends), len(out_ends), cells)

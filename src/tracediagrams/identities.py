@@ -153,14 +153,23 @@ def polarize(tau: Callable[[matrices.Matrix], matrices.Matrix], k: int, mats):
     return matrices.mscale(Fraction(1, factorial(k)), total)
 
 
+def _powers(m: matrices.Matrix, k: int) -> list[matrices.Matrix]:
+    """[m^0, m^1, ..., m^k], each from the one before."""
+    out = [matrices.identity(len(m))]
+    for _ in range(k):
+        out.append(matrices.matmul(out[-1], m))
+    return out
+
+
 def _monomial_fn(i: int, lam: tuple[int, ...]):
     """x -> (prod of tr(x^l) for l in lam) * x^i, the diagonal of one summand class."""
 
     def fn(m: matrices.Matrix) -> matrices.Matrix:
+        powers = _powers(m, max((i, *lam)))
         scalar = Fraction(1)
         for ell in lam:
-            scalar *= matrices.mtrace(matrices.mpow(m, ell))
-        return matrices.mscale(scalar, matrices.mpow(m, i))
+            scalar *= matrices.mtrace(powers[ell])
+        return matrices.mscale(scalar, powers[i])
 
     return fn
 
@@ -168,8 +177,8 @@ def _monomial_fn(i: int, lam: tuple[int, ...]):
 def _poly_at(coeffs, m: matrices.Matrix) -> matrices.Matrix:
     """sum_i coeffs[i] * m^i."""
     out = matrices.zeros(len(m), len(m))
-    for i, c in enumerate(coeffs):
-        out = matrices.madd(out, matrices.mscale(c, matrices.mpow(m, i)))
+    for c, power in zip(coeffs, _powers(m, len(coeffs) - 1)):
+        out = matrices.madd(out, matrices.mscale(c, power))
     return out
 
 
@@ -393,7 +402,7 @@ def _check_antisym_two_node(n: int, rng: Random, trial: int) -> dict:
         anti = sum_function_matrix(builders.antisymmetrizer(n, k), None)
         pair = function_matrix(builders.two_node_antisym(n, k), None)
         scaled = Fraction((-1) ** (n // 2), factorial(n - k)) * pair
-        if anti.entries != scaled.entries:
+        if anti != scaled:
             problems.append(f"two-vertex expansion fails at k={k}")
         if k < n and not multiplicity_ratio_check(n, k):
             problems.append(f"shared-edge multiplicity fails at k={k}")
@@ -488,10 +497,15 @@ def _check_framing_independence(n: int, rng: Random, trial: int) -> dict:
     leaves = list(d.inputs) + list(d.outputs)
     colorings = [dict(zip(leaves, c)) for c in product(range(1, 4), repeat=len(leaves))]
     weights = [weight(d, c, binding) for c in colorings]
-    reframed = (reframe(d, ins, outs) for ins, outs in _bitmask_splits(leaves))
+    # every framing's function matrix must hold, at the cell a leaf coloring
+    # stands for, that coloring's weight
+    framed = (
+        (ins, outs, function_matrix(reframe(d, ins, outs), binding))
+        for ins, outs in _bitmask_splits(leaves)
+    )
     if any(
-        weight(rd, c, binding) != w
-        for rd in reframed
+        fm.entry([c[v] for v in outs], [c[v] for v in ins]) != w
+        for ins, outs, fm in framed
         for c, w in zip(colorings, weights)
     ):
         problems.append("weight changed under reframing")

@@ -5,6 +5,7 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tracediagrams import (
     CompositionError,
@@ -29,6 +30,7 @@ from tracediagrams import (
 )
 from tracediagrams import algebra
 from tracediagrams import matrices as mx
+from tracediagrams.engine import index_tensor
 from tracediagrams.identities import random_diagram, trial_rng
 
 
@@ -202,6 +204,83 @@ def test_formal_sum_cancels_itself():
     s = FormalSum.single(builders.matrix_strand(2, ("A",)))
     z = s + (-1) * s
     assert sum_function_matrix(z, binding()).is_zero()
+
+
+def _dense_sum(s, b):
+    """The formal sum's function matrix, added term by term over dense grids."""
+    total = None
+    for c, d in s.terms:
+        grid = mx.mscale(c, function_matrix(d, b).entries)
+        total = grid if total is None else mx.madd(total, grid)
+    return total
+
+
+def _dense_worst(grid, n, output_arity, input_arity):
+    """Residual and witness of a row-major scan; on ties the last cell wins."""
+    worst, witness = Fraction(0), None
+    for r, row in enumerate(grid):
+        for c, x in enumerate(row):
+            if x != 0 and abs(x.numerator) >= abs(worst.numerator):
+                worst = x
+                witness = (
+                    index_tensor(r, n, output_arity),
+                    index_tensor(c, n, input_arity),
+                )
+    return worst, witness
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from((3, 2, 1)),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_sparse_sum_matches_dense_sum(n, n_in, n_out, terms, seed):
+    assume(not (n % 2 == 0 and (n_in + n_out) % 2))
+    rng = Random(seed)
+    b = MatrixBinding(
+        n,
+        {
+            lab: [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            for lab in ("A", "B")
+        },
+    )
+    s = FormalSum.of(
+        *(
+            (
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                random_diagram(rng, n, n_in, n_out),
+            )
+            for _ in range(terms)
+        )
+    )
+    fm = sum_function_matrix(s, b)
+    want = _dense_sum(s, b)
+    assert fm.entries == want
+    assert all(fm.cells.values())
+    check = is_relation(s, b)
+    assert (check.residual, check.witness) == _dense_worst(want, n, n_out, n_in)
+
+    zero = sum_function_matrix(s + (-1) * s, b)
+    assert zero.is_zero() and zero.cells == {}
+    assert zero.entries == mx.zeros(n**n_out, n**n_in)
+
+
+def test_relation_witness_breaks_ties_like_the_dense_scan():
+    # 2 * (identity - crossing): every pair of distinct labels gives a +2 and
+    # a -2 entry; the last of them in row-major order is the witness
+    n = 3
+    s = FormalSum.of(
+        (2, builders.permutation_diagram(n, (1, 2))),
+        (-2, builders.permutation_diagram(n, (2, 1))),
+    )
+    grid = _dense_sum(s, None)
+    worst, witness = _dense_worst(grid, n, 2, 2)
+    assert sum(1 for row in grid for x in row if abs(x) == 2) > 2
+    check = is_relation(s)
+    assert (check.residual, check.witness) == (worst, witness) == (2, ((3, 2), (3, 2)))
 
 
 def test_exchange_relation_is_zero_function():

@@ -20,6 +20,7 @@ from tracediagrams import (
     vertex_permutation,
 )
 from tracediagrams import builders, enumerate_colorings, signature
+from tracediagrams import matrices as mx
 
 
 def identity_strand(n=2):
@@ -177,3 +178,7 @@ def test_binding_edge_matrix_is_word_product():
     b = MatrixBinding(2, {"A": [[1, 1], [1, 1]], "B": [[2, 0], [0, 2]]})
     assert b.edge_matrix(("A", "B"))[0][0] == 2
     assert b.edge_matrix(("B", "A"))[0][0] == 2
+    word = ("A", "B", "A")
+    product = b.edge_matrix(word)
+    assert b.edge_matrix(word) is product
+    assert product == mx.word_product([b.matrix(lab) for lab in word])

@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracediagrams import (
     DimensionMismatchError,
     DslSyntaxError,
     FormalSum,
     MatrixBinding,
+    TraceDiagramError,
     builders,
     evaluate_closed,
     function_matrix,
@@ -76,12 +78,29 @@ def test_builtin_requires_dimension():
         (parse_diagram_set, "dim \u00b2\nloop e1"),
         (parse_relation, "dim x\n1 * builtin:id(1)\n"),
         (parse_matrix_file, "vector u \u00b2\n1\n"),
+        (parse_relation, "1/0 * builtin:id(1) @ dim 2"),
     ],
-    ids=["builtin-arg", "tdg-dim-superscript", "trel-dim", "tmat-superscript"],
+    ids=[
+        "builtin-arg",
+        "tdg-dim-superscript",
+        "trel-dim",
+        "tmat-superscript",
+        "trel-zero-denominator",
+    ],
 )
 def test_malformed_numbers_are_syntax_errors(parse, text):
     with pytest.raises(DslSyntaxError):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["dim 2\nloop", "dim 2\nvertex v leaf\nedge e w x\ninputs e"],
+    ids=["loop-without-id", "framing-edge-to-unknown-vertices"],
+)
+def test_malformed_statements_are_syntax_errors(text):
+    with pytest.raises(DslSyntaxError):
+        parse_diagram_set(text)
 
 
 def test_round_trip_is_bit_exact():
@@ -226,3 +245,34 @@ def test_relation_file_with_import(tmp_path):
     )
     rel = parse_relation_file(tmp_path / "rel.trel")
     assert is_relation(rel).holds
+
+
+# Statements and tokens of all three formats, so generated documents get past
+# the first line; numbers stay small so that no builtin builds a large diagram.
+_TOKENS = [
+    "dim 2", "vertex v leaf", "vertex w internal cil(e, f)", "edge e v w",
+    "edge f w v mark A", "loop g", "inputs e", "outputs e@v", "matrix A 2 2",
+    "vector u 2", "1 2", "1/2 * d", "diagram d", "diagram d = builtin:det(A) @ dim 2",
+    "diagram", "d", "=", "builtin:antisym(2)", "builtin:perm(2,1)", "builtin:nope()",
+    "@", "dim", "0", "1", "2", "3", "-1/2", "1/0", "x", "vertex", "v", "w", "leaf",
+    "vec", "u", "internal", "cil(e)", "cil(e.h, e.t)", "cil(", "edge", "e", "f",
+    "loop", "mark", "A", "inputs", "outputs", "e@", "matrix", "vector", "use", "*",
+    ";", "#", "\u00b2", "\u0663",
+]
+_DOCUMENTS = st.one_of(
+    st.text(max_size=60),
+    st.lists(
+        st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=4).map(" ".join),
+        max_size=8,
+    ).map("\n".join),
+)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_DOCUMENTS)
+def test_parsers_raise_only_typed_errors(text):
+    for parse in (parse_diagram_set, parse_matrix_file, parse_relation):
+        try:
+            parse(text)
+        except TraceDiagramError:
+            pass

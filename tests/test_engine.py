@@ -233,6 +233,32 @@ def test_function_matrix_requires_framing():
         function_matrix(bare)
 
 
+@pytest.mark.parametrize("img", [(2, 1), (1, 2, 3), (3, 1, 2), (2, 3, 4, 1)])
+def test_permutation_diagram_keeps_only_its_nonzero_cells(img):
+    n, k = 3, len(img)
+    fm = function_matrix(builders.permutation_diagram(n, img))
+    assert len(fm.cells) == n**k
+    assert set(fm.cells.values()) == {1}
+    dense = fm.entries
+    assert fm.as_matrix() is dense
+    assert sum(1 for row in dense for x in row if x) == n**k
+    assert len(dense) == len(dense[0]) == n**k
+
+
+def test_function_matrix_arithmetic_drops_cancelled_cells():
+    b = binding2()
+    fm = function_matrix(builders.matrix_strand(2, ("A",)), b)
+    assert fm.cells == {0: 1, 1: 2, 2: 3, 3: 4}
+    assert fm.entry((2,), (1,)) == 3 and fm.column((2,)) == (2, 4)
+    assert (fm + (-1) * fm).cells == {} and (0 * fm).is_zero()
+    assert fm + fm == 2 * fm != fm
+    assert {fm, 1 * fm} == {fm}  # hashable, by value
+    loop = function_matrix(builders.trace_loop(2, ("A",)), b)
+    assert loop.scalar() == 5
+    with pytest.raises(FramingError):
+        fm + loop
+
+
 def test_multi_marking_collapses_to_product():
     b = MatrixBinding(2, {"A": [[1, 2], [3, 4]], "B": [[0, 1], [1, 1]], "C": [[2, 1], [0, 1]]})
     word = function_matrix(builders.matrix_strand(2, ("A", "B", "C")), b)
