@@ -60,6 +60,7 @@ from .errors import (
     FramingError,
     HomogeneityError,
     InadmissibleColoringError,
+    InexactValueError,
     LeafColoringError,
     TraceDiagramError,
     UnboundLabelError,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .diagram import (
@@ -288,21 +289,29 @@ def sum_function_matrix(
 ) -> FunctionMatrix:
     """Function matrix of a formal sum: the coefficient-weighted sum of term matrices.
 
-    The terms' nonzero cells are added into one map; cells that cancel are dropped.
+    The terms' integer cells are added into one map over a common denominator,
+    which grows to take in each term's; cells that cancel are dropped.
     """
     shape = None
-    total: dict[int, Fraction] = {}
+    total: dict[int, int] = {}
+    den = 1
     for c, d in _nonempty_terms(s):
         fm = function_matrix(d, binding, prune_zeros)
         if shape is None:
             shape = (fm.n, fm.input_arity, fm.output_arity)
         elif (fm.n, fm.input_arity, fm.output_arity) != shape:
             raise FramingError("function matrices have different shapes")
+        term_den = c.denominator * fm.den
+        if den % term_den:
+            grow = lcm(den, term_den) // den
+            total = {idx: grow * x for idx, x in total.items()}
+            den *= grow
+        k = c.numerator * (den // term_den)
         for idx, x in fm.cells.items():
-            if c != 1:
-                x = c * x
+            if k != 1:
+                x *= k
             total[idx] = total[idx] + x if idx in total else x
-    return FunctionMatrix(*shape, {idx: x for idx, x in total.items() if x})
+    return FunctionMatrix(*shape, {idx: x for idx, x in total.items() if x}, den)
 
 
 def sum_closed_value(
@@ -339,12 +348,14 @@ def is_relation(
     fs = _as_sum(s)
     fm = sum_function_matrix(fs, binding)
     n, cols = fm.n, fm.n**fm.input_arity
-    # row-major scan; on ties in |numerator| the last cell wins
-    worst, witness = Fraction(0), None
+    # row-major scan for the largest |numerator| of a cell's reduced value;
+    # on ties the last cell wins
+    worst, worst_num, witness = 0, 0, None
     for idx in sorted(fm.cells):
         x = fm.cells[idx]
-        if abs(x.numerator) >= abs(worst.numerator):
-            worst = x
+        num = abs(x) // gcd(x, fm.den)
+        if num >= worst_num:
+            worst, worst_num = x, num
             witness = (
                 index_tensor(idx // cols, n, fm.output_arity),
                 index_tensor(idx % cols, n, fm.input_arity),
@@ -359,8 +370,8 @@ def is_relation(
                     leaf_coloring = dict(zip(d.inputs, alpha))
                     leaf_coloring.update(zip(d.outputs, beta))
                     entry += coeff * weight(d, leaf_coloring, binding)
-                if entry != fm.cells.get(r * cols + c, 0):
+                if entry != Fraction(fm.cells.get(r * cols + c, 0), fm.den):
                     raise TraceDiagramError(
                         "function-matrix and per-basis weight routes disagree"
                     )
-    return RelationCheck(worst == 0, worst, witness)
+    return RelationCheck(worst == 0, Fraction(worst, fm.den), witness)

@@ -278,11 +278,11 @@ class FormalSum:
 
     @classmethod
     def of(cls, *pairs) -> "FormalSum":
-        return cls(tuple((Fraction(c), d) for c, d in pairs))
+        return cls(tuple((matrices._exact(c), d) for c, d in pairs))
 
     @classmethod
     def single(cls, diagram: TraceDiagram, coeff=1) -> "FormalSum":
-        return cls(((Fraction(coeff), diagram),))
+        return cls(((matrices._exact(coeff), diagram),))
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return FormalSum(self.terms + other.terms)
@@ -297,7 +297,7 @@ class FormalSum:
         return self.scale(c)
 
     def scale(self, c) -> "FormalSum":
-        c = Fraction(c)
+        c = matrices._exact(c)
         return FormalSum(tuple((c * k, d) for k, d in self.terms))
 
 
@@ -311,6 +311,8 @@ class MatrixBinding:
     _word_products: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # marking word (a tuple) or vector label (a str) -> (integer rows, denominator)
+    _lattices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -354,6 +356,33 @@ class MatrixBinding:
             product = matrices.word_product([self.matrix(lab) for lab in marking])
             self._word_products[marking] = product
         return product
+
+    def edge_lattice(self, marking: tuple[str, ...]) -> tuple[list[list[int]], int]:
+        """The product of a marking word as integer rows over one positive
+        denominator, the form the engine sums in.
+
+        It is multiplied out in integers from the word's prefix, and every
+        prefix's product is kept on the binding, like :meth:`edge_matrix`'s.
+        """
+        marking = tuple(marking)
+        lattice = self._lattices.get(marking)
+        if lattice is None:
+            if len(marking) < 2:
+                lattice = matrices._lattice(self.matrix(marking[0]))
+            else:
+                a, da = self.edge_lattice(marking[:-1])
+                b, db = self.edge_lattice(marking[-1:])
+                lattice = (matrices._product(a, b), da * db)
+            self._lattices[marking] = lattice
+        return lattice
+
+    def vector_lattice(self, label: str) -> tuple[list[int], int]:
+        """:meth:`vector` as integer entries over one positive denominator."""
+        lattice = self._lattices.get(label)
+        if lattice is None:
+            (row,), den = matrices._lattice((self.vector(label),))
+            lattice = self._lattices[label] = (row, den)
+        return lattice
 
 
 def are_isomorphic(a: TraceDiagram, b: TraceDiagram) -> bool:

@@ -24,7 +24,13 @@ placement order; one sign per vertex, fixed by the diagram, converts that to
 the ciliation order. :func:`enumerate_colorings`, :func:`signature` and
 :func:`coefficient` keep the definition itself, and the tests compare the two.
 
-All arithmetic is over ``Fraction`` and ``int``. :func:`enumerate_colorings`
+The signed sum runs on integers. Each edge's word product and each vector is
+read from the binding as integer entries over one denominator, so the sum of a
+whole diagram is an integer over the product of those denominators, divided
+once; a :class:`FunctionMatrix` keeps integer cells over one denominator.
+``Fraction`` is the type every public function returns. The reference
+:func:`coefficient` multiplies the binding's ``Fraction`` word products, so it
+checks the integer route rather than sharing it. :func:`enumerate_colorings`
 yields in lexicographic order over edges sorted by id, so results and streams
 are deterministic.
 """
@@ -34,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterator, Mapping, Optional
 
 from . import matrices, perms
@@ -81,35 +88,49 @@ def index_tensor(idx: int, n: int, arity: int) -> tuple[int, ...]:
 class FunctionMatrix:
     """Matrix of a framed diagram's multilinear function in the standard tensor basis.
 
-    Only the nonzero entries are stored: ``cells`` maps the flat index
-    ``row * n**input_arity + col`` to its value, where rows are output and
-    columns input labels in mixed radix. A permutation diagram on k strands
-    has n^k nonzero entries out of n^(2k). ``entries`` and :meth:`as_matrix`
-    give the dense ``n^out x n^in`` form, built on first use and kept.
+    Only the nonzero entries are stored, as integers over one denominator:
+    entry ``cells[idx] / den`` sits at the flat index ``row * n**input_arity
+    + col``, where rows are output and columns input labels in mixed radix. A
+    permutation diagram on k strands has n^k nonzero entries out of n^(2k).
+    ``den`` is positive and has no common factor with all the cells, so
+    equal functions have equal fields and ``==`` and the hash compare values.
+    ``entry``, ``column``, ``scalar``, ``entries`` and :meth:`as_matrix` give
+    ``Fraction`` values; the dense ``n^out x n^in`` form is built on first
+    use and kept.
     """
 
     n: int
     input_arity: int
     output_arity: int
-    cells: dict[int, Fraction] = field(hash=False)  # flat index -> nonzero value
+    cells: dict[int, int] = field(hash=False)  # flat index -> nonzero numerator
+    den: int = 1
+
+    def __post_init__(self):
+        g = gcd(self.den, *self.cells.values())
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "cells", {i: x // g for i, x in self.cells.items()})
+            object.__setattr__(self, "den", self.den // g)
 
     @cached_property
     def entries(self) -> matrices.Matrix:
         cols = self.n**self.input_arity
         grid = [[_ZERO] * cols for _ in range(self.n**self.output_arity)]
         for idx, x in self.cells.items():
-            grid[idx // cols][idx % cols] = x
+            grid[idx // cols][idx % cols] = Fraction(x, self.den)
         return tuple(tuple(row) for row in grid)
 
     def entry(self, beta, alpha) -> Fraction:
         idx = tensor_index(beta, self.n) * self.n**self.input_arity
-        return self.cells.get(idx + tensor_index(alpha, self.n), _ZERO)
+        return Fraction(self.cells.get(idx + tensor_index(alpha, self.n), 0), self.den)
 
     def column(self, alpha) -> tuple[Fraction, ...]:
         cols = self.n**self.input_arity
         j = tensor_index(alpha, self.n)
         return tuple(
-            self.cells.get(r * cols + j, _ZERO) for r in range(self.n**self.output_arity)
+            Fraction(self.cells.get(r * cols + j, 0), self.den)
+            for r in range(self.n**self.output_arity)
         )
 
     def is_zero(self) -> bool:
@@ -118,7 +139,7 @@ class FunctionMatrix:
     def scalar(self) -> Fraction:
         if self.input_arity or self.output_arity:
             raise FramingError("scalar() needs a 0-in/0-out matrix")
-        return self.cells.get(0, _ZERO)
+        return Fraction(self.cells.get(0, 0), self.den)
 
     def as_matrix(self) -> matrices.Matrix:
         return self.entries
@@ -130,17 +151,22 @@ class FunctionMatrix:
             other.output_arity,
         ):
             raise FramingError("function matrices have different shapes")
-        cells = dict(self.cells)
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        cells = {idx: ka * x for idx, x in self.cells.items()}
         for idx, x in other.cells.items():
-            total = cells.pop(idx, 0) + x
+            total = cells.pop(idx, 0) + kb * x
             if total:
                 cells[idx] = total
-        return FunctionMatrix(self.n, self.input_arity, self.output_arity, cells)
+        return FunctionMatrix(self.n, self.input_arity, self.output_arity, cells, den)
 
     def __rmul__(self, c) -> "FunctionMatrix":
-        c = Fraction(c)
-        cells = {idx: c * x for idx, x in self.cells.items()} if c else {}
-        return FunctionMatrix(self.n, self.input_arity, self.output_arity, cells)
+        c = matrices._exact(c)
+        k = c.numerator
+        cells = {idx: k * x for idx, x in self.cells.items()} if k else {}
+        return FunctionMatrix(
+            self.n, self.input_arity, self.output_arity, cells, c.denominator * self.den
+        )
 
 
 def _check_dimension(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> None:
@@ -283,7 +309,12 @@ def _shape(diagram: TraceDiagram) -> _Shape:
 
 
 class _Prepared:
-    """A diagram's shape with the bound matrices and vectors it uses."""
+    """A diagram's shape with the bound matrices and vectors it uses.
+
+    Matrices and vectors are integer entries over a denominator each;
+    :meth:`signed_sum` returns integers, and ``den``, the product of those
+    denominators times ``reading_sign``, is the one divisor of its result.
+    """
 
     def __init__(
         self,
@@ -296,36 +327,41 @@ class _Prepared:
         if shape.labels and binding is None:
             raise UnboundLabelError(shape.labels[0])
         self.prune = prune_zeros
-        self.eff: dict[str, matrices.Matrix] = {
-            e.id: binding.edge_matrix(e.marking) for e in shape.edges if e.marking
-        }
-        self.end_vector: dict[tuple[str, str], matrices.Vector] = {
-            end: binding.vector(label) for end, label in shape.vector_end.items()
-        }
+        self.eff: dict[str, list[list[int]]] = {}
+        self.end_vector: dict[tuple[str, str], list[int]] = {}
+        den = shape.reading_sign
+        for e in shape.edges:
+            if e.marking:
+                self.eff[e.id], d = binding.edge_lattice(e.marking)
+                den *= d
+        for end, label in shape.vector_end.items():
+            self.end_vector[end], d = binding.vector_lattice(label)
+            den *= d
+        self.den = den
 
     def signed_sum(
         self,
         pinned: Mapping[tuple[str, str], int],
         places: Mapping[tuple[str, str], int],
-    ) -> dict[int, Fraction]:
+    ) -> dict[int, int]:
         """Sum of sign * coefficient over the colorings extending ``pinned``,
         split by ``sum(places[end] * (label at end - 1))`` over the open ends
-        in ``places``.
+        in ``places``, each sum times ``den``.
 
         A state is one int: n bits per internal vertex holding the labels used
         there so far, and above them the partial ``places`` index. Colorings
         that reach the same state merge, so the cost follows the number of
         states, not of colorings. Each placed label contributes the parity of
         the larger labels already at its vertex, which builds the sign of the
-        placement-order reading; ``reading_sign`` turns it into the
-        ciliation reading.
+        placement-order reading; ``reading_sign``, a factor of ``den``, turns
+        it into the ciliation reading.
         """
         shape = self.shape
         shift = shape.n * len(shape.internal_ids)
-        states: dict[int, Fraction] = {0: 1}
+        states: dict[int, int] = {0: 1}
         for edge in shape.edge_ends:
             moves = self._moves(edge, pinned, places, shift)
-            grown: dict[int, Fraction] = {}
+            grown: dict[int, int] = {}
             for state, value in states.items():
                 for need, add, parity, pos, neg in moves:
                     if state & need:
@@ -337,8 +373,6 @@ class _Prepared:
                     else:
                         grown[key] = term
             states = grown
-        if shape.reading_sign < 0:
-            return {key >> shift: -v for key, v in states.items()}
         return {key >> shift: v for key, v in states.items()}
 
     def _moves(self, edge, pinned, places, shift) -> list[tuple]:
@@ -361,7 +395,7 @@ class _Prepared:
         eff = self.eff.get(eid)
         hvec, tvec = self.end_vector.get(hkey), self.end_vector.get(tkey)
         hplace, tplace = places.get(hkey, 0) << shift, places.get(tkey, 0) << shift
-        merged: dict[tuple[int, int, int], Fraction] = {}
+        merged: dict[tuple[int, int, int], int] = {}
         for h, t in pairs:
             c = 1 if eff is None else eff[h - 1][t - 1]
             if hvec is not None:
@@ -455,7 +489,7 @@ def weight(
             f"got {sorted(leaf_coloring)}, expected {sorted(open_end)}"
         )
     pinned = prep.shape.pin_leaves(leaf_coloring)
-    return Fraction(prep.signed_sum(pinned, {}).get(0, 0))
+    return Fraction(prep.signed_sum(pinned, {}).get(0, 0), prep.den)
 
 
 def evaluate_closed(
@@ -514,10 +548,5 @@ def function_matrix(
     cols = n ** len(in_ends)
     places = {end: n**k for k, end in enumerate(reversed(in_ends))}
     places.update({end: cols * n**k for k, end in enumerate(reversed(out_ends))})
-    # a sum that no matrix or vector entered holds ints
-    cells = {
-        idx: value if isinstance(value, Fraction) else Fraction(value)
-        for idx, value in prep.signed_sum({}, places).items()
-        if value
-    }
-    return FunctionMatrix(n, len(in_ends), len(out_ends), cells)
+    cells = {idx: value for idx, value in prep.signed_sum({}, places).items() if value}
+    return FunctionMatrix(n, len(in_ends), len(out_ends), cells, prep.den)

@@ -44,3 +44,7 @@ class DslSyntaxError(TraceDiagramError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.column = column
+
+
+class InexactValueError(TraceDiagramError):
+    """A matrix or vector entry or a coefficient is not an exact rational (a float, say)."""

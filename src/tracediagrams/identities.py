@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, lcm
 from random import Random
 from typing import Callable, Optional
 
@@ -133,53 +133,95 @@ def polarize(tau: Callable[[matrices.Matrix], matrices.Matrix], k: int, mats):
     ``(1/k!) * sum over S of (-1)^(k-|S|) tau(sum of mats[i], i in S)``.
     Homogeneity is checked on one sample instead of being trusted.
     """
+
+    def on_lattice(rows, den):
+        return matrices._lattice(tau(matrices._rational(rows, den)))
+
+    return matrices._rational(*_polar_lattice(on_lattice, k, mats))
+
+
+def _polar_lattice(tau, k: int, mats) -> tuple[matrices.IntRows, int]:
+    """:func:`polarize` for a ``tau`` that maps (integer rows, denominator) to
+    the same form. The subset sums, tau's values and the signed total stay
+    integer matrices, over one denominator each, and so does the result."""
     mats = [matrices.freeze_matrix(m) for m in mats]
     if len(mats) != k:
         raise ValueError(f"need exactly {k} matrices, got {len(mats)}")
     n = len(mats[0])
-    probe = matrices.identity(n)
-    for m in mats:
-        probe = matrices.madd(probe, m)
-    if not matrices.matrices_equal(
-        tau(matrices.mscale(2, probe)), matrices.mscale(Fraction(2) ** k, tau(probe))
+    rows, den = matrices._lattice(tuple(row for m in mats for row in m))
+    ints = [rows[p * n : (p + 1) * n] for p in range(k)]  # mats[p] == ints[p] / den
+    # probe = I + sum of mats; tau(2 probe) == 2^k tau(probe), cross-multiplied
+    probe = [[den * (i == j) + sum(m[i][j] for m in ints) for j in range(n)] for i in range(n)]
+    twice, twice_den = tau([[2 * x for x in row] for row in probe], den)
+    once, once_den = tau(probe, den)
+    if any(
+        x * once_den != 2**k * y * twice_den
+        for rt, ro in zip(twice, once)
+        for x, y in zip(rt, ro)
     ):
         raise HomogeneityError(f"function is not homogeneous of degree {k}")
-    total = matrices.zeros(n, n)
-    for chosen, rest in _bitmask_splits(mats):
-        part = matrices.zeros(n, n)
-        for m in chosen:
-            part = matrices.madd(part, m)
-        total = matrices.madd(total, matrices.mscale((-1) ** len(rest), tau(part)))
-    return matrices.mscale(Fraction(1, factorial(k)), total)
+    terms = []
+    for chosen, rest in _bitmask_splits(ints):
+        part = [[sum(xs) for xs in zip(*rs)] for rs in zip(*chosen)] or _zeros(n)
+        terms.append(((-1) ** len(rest), *tau(part, den)))
+    total_den = lcm(*(d for _, _, d in terms))
+    total = _zeros(n)
+    for sign, value, value_den in terms:
+        _add_scaled(total, sign * (total_den // value_den), value)
+    return total, total_den * factorial(k)
 
 
-def _powers(m: matrices.Matrix, k: int) -> list[matrices.Matrix]:
-    """[m^0, m^1, ..., m^k], each from the one before."""
-    out = [matrices.identity(len(m))]
+def _zeros(n: int) -> matrices.IntRows:
+    return [[0] * n for _ in range(n)]
+
+
+def _add_scaled(total: matrices.IntRows, w: int, rows) -> None:
+    """total += w * rows, in place, for integer matrices."""
+    for out_row, row in zip(total, rows):
+        for j, x in enumerate(row):
+            out_row[j] += w * x
+
+
+def _powers(m: matrices.IntRows, k: int) -> list[matrices.IntRows]:
+    """[M^0, M^1, ..., M^k] of an integer matrix M, each from the one before."""
+    out = [matrices._int_identity(len(m))]
     for _ in range(k):
-        out.append(matrices.matmul(out[-1], m))
+        out.append(matrices._product(out[-1], m))
     return out
 
 
 def _monomial_fn(i: int, lam: tuple[int, ...]):
-    """x -> (prod of tr(x^l) for l in lam) * x^i, the diagonal of one summand class."""
+    """x -> (prod of tr(x^l) for l in lam) * x^i, the diagonal of one summand
+    class, on the lattice: for x = M/d it is (prod of tr(M^l)) M^i over
+    d^(i + sum(lam))."""
 
-    def fn(m: matrices.Matrix) -> matrices.Matrix:
-        powers = _powers(m, max((i, *lam)))
-        scalar = Fraction(1)
+    def fn(rows: matrices.IntRows, den: int) -> tuple[matrices.IntRows, int]:
+        powers = _powers(rows, max((i, *lam)))
+        scalar = 1
         for ell in lam:
-            scalar *= matrices.mtrace(powers[ell])
-        return matrices.mscale(scalar, powers[i])
+            scalar *= sum(powers[ell][j][j] for j in range(len(rows)))
+        return [[scalar * x for x in row] for row in powers[i]], den ** (i + sum(lam))
 
     return fn
 
 
+def _poly_lattice(coeffs, rows: matrices.IntRows, den: int) -> tuple[matrices.IntRows, int]:
+    """sum_i coeffs[i] * x^i for x = M/d given as (M, d), on the lattice.
+
+    With the coefficients over a common denominator L and k the top degree,
+    the value is (sum_i (L coeffs[i]) d^(k-i) M^i) over L d^k.
+    """
+    k = len(coeffs) - 1
+    common = lcm(*(c.denominator for c in coeffs))
+    out = _zeros(len(rows))
+    for i, (c, power) in enumerate(zip(coeffs, _powers(rows, k))):
+        _add_scaled(out, c.numerator * (common // c.denominator) * den ** (k - i), power)
+    return out, common * den**k
+
+
 def _poly_at(coeffs, m: matrices.Matrix) -> matrices.Matrix:
     """sum_i coeffs[i] * m^i."""
-    out = matrices.zeros(len(m), len(m))
-    for c, power in zip(coeffs, _powers(m, len(coeffs) - 1)):
-        out = matrices.madd(out, matrices.mscale(c, power))
-    return out
+    return matrices._rational(*_poly_lattice(coeffs, *matrices._lattice(m)))
 
 
 def _closure_classes(n: int):
@@ -625,17 +667,17 @@ def _check_polarization(n: int, rng: Random, trial: int) -> dict:
             )
         )
         got = sum_function_matrix(sub, binding).as_matrix()
-        pol = polarize(_monomial_fn(i, lam), n, mats)
+        pol = matrices._rational(*_polar_lattice(_monomial_fn(i, lam), n, mats))
         want = matrices.mscale(len(members) * perms.sign(members[0]), pol)
         if not matrices.matrices_equal(got, want):
             problems.append(f"class (i={i}, cycles={lam}) mismatch")
 
     full = sum_function_matrix(builders.ch_diagram(n, labels), binding).as_matrix()
 
-    def tau(m):  # p_m(m): homogeneous of degree n in m, zero by Cayley-Hamilton
-        return _poly_at(charpoly_oracle(m), m)
+    def tau(rows, den):  # p_x(x): homogeneous of degree n in x, zero by Cayley-Hamilton
+        return _poly_lattice(charpoly_oracle(matrices._rational(rows, den)), rows, den)
 
-    pol_full = matrices.mscale(factorial(n), polarize(tau, n, mats))
+    pol_full = matrices.mscale(factorial(n), matrices._rational(*_polar_lattice(tau, n, mats)))
     if not matrices.matrices_equal(full, pol_full):
         problems.append("diagram sum != n! * polarized identity")
     if not matrices.is_zero_matrix(full):

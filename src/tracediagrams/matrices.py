@@ -1,33 +1,72 @@
 """Exact rational matrices and the classical oracles used to cross-check diagrams.
 
-Matrices are immutable tuples of tuple rows with ``Fraction`` entries; there is
-no floating point anywhere. The oracles at the bottom (determinant by
-fraction-free elimination, characteristic polynomial by the Faddeev-LeVerrier
-recurrence, Pfaffian as a signed sum over perfect matchings) never touch the
-diagram engine, so an agreement between the two routes is meaningful.
+Matrices are immutable tuples of tuple rows with ``Fraction`` entries, the type
+callers see; there is no floating point anywhere, and inexact input such as a
+``float`` is refused. Inside, products, sums and the oracles run on integer
+matrices over one denominator: ``_lattice`` takes a matrix there and
+``_rational`` brings it back, so a chain of operations divides once, at its
+end, as Bareiss elimination does. The oracles at the bottom (determinant by fraction-free
+elimination, characteristic polynomial by the Faddeev-LeVerrier recurrence,
+Pfaffian as a signed sum over perfect matchings) never touch the diagram
+engine, so an agreement between the two routes is meaningful.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
+from operator import mul
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InexactValueError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
+IntRows = list[list[int]]
+
+
+def _exact(x) -> Fraction:
+    """``x`` as a Fraction; a float or any other non-rational number is refused."""
+    if not isinstance(x, Rational):
+        raise InexactValueError(f"{x!r} is not an exact rational number")
+    return Fraction(x)
+
+
+def _lattice(m) -> tuple[IntRows, int]:
+    """Integer rows and the positive denominator ``den`` with ``m == rows / den``.
+
+    ``den`` is the lcm of the entries' denominators; the entries may be
+    ints or Fractions.
+    """
+    den = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
+
+
+def _rational(rows, den: int) -> Matrix:
+    """The Matrix ``rows / den``: the one division at the end of a lattice chain."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def _product(a, b) -> IntRows:
+    """Product of two integer matrices, shapes unchecked."""
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def _int_identity(n: int) -> IntRows:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def freeze_matrix(rows) -> Matrix:
-    """Normalize any nested iterable of numbers into an exact Matrix."""
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Normalize any nested iterable of exact numbers into a Matrix."""
+    out = tuple(tuple(_exact(x) for x in row) for row in rows)
     if out and any(len(row) != len(out[0]) for row in out):
         raise DimensionMismatchError("ragged rows in matrix")
     return out
 
 
 def freeze_vector(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(_exact(x) for x in entries)
 
 
 def shape(m: Matrix) -> tuple[int, int]:
@@ -47,27 +86,35 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = shape(b)
     if ca != rb:
         raise DimensionMismatchError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    (ia, da), (ib, db) = _lattice(a), _lattice(b)
+    return _rational(_product(ia, ib), da * db)
 
 
 def madd(a: Matrix, b: Matrix) -> Matrix:
     if shape(a) != shape(b):
         raise DimensionMismatchError("matrix addition shape mismatch")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    (ia, da), (ib, db) = _lattice(a), _lattice(b)
+    den = lcm(da, db)
+    ka, kb = den // da, den // db
+    return _rational(
+        [[x * ka + y * kb for x, y in zip(ra, rb)] for ra, rb in zip(ia, ib)], den
+    )
 
 
 def mscale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+    c = _exact(c)
+    rows, den = _lattice(a)
+    k = c.numerator
+    return _rational([[k * x for x in row] for row in rows], c.denominator * den)
 
 
 def mpow(a: Matrix, k: int) -> Matrix:
     n, _ = shape(a)
-    out = identity(n)
+    rows, den = _lattice(a)
+    out = _int_identity(n)
     for _ in range(k):
-        out = matmul(out, a)
-    return out
+        out = _product(out, rows)
+    return _rational(out, den**k)
 
 
 def mtrace(a: Matrix) -> Fraction:
@@ -87,10 +134,14 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def word_product(mats) -> Matrix:
     """Product of a nonempty sequence of matrices, left to right."""
     mats = list(mats)
-    out = mats[0]
-    for m in mats[1:]:
-        out = matmul(out, m)
-    return out
+    out, den = _lattice(mats[0])
+    for prev, m in zip(mats, mats[1:]):
+        (ra, ca), (rb, cb) = shape(prev), shape(m)
+        if ca != rb:
+            raise DimensionMismatchError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+        rows, d = _lattice(m)
+        out, den = _product(out, rows), den * d
+    return _rational(out, den)
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -135,8 +186,7 @@ def bareiss_det(m: Matrix) -> Fraction:
         raise DimensionMismatchError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    scale = lcm(*(x.denominator for row in m for x in row)) if n else 1
-    a = [[int(x * scale) for x in row] for row in m]
+    a, scale = _lattice(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -161,19 +211,28 @@ def charpoly_fl(a: Matrix) -> tuple[Fraction, ...]:
 
     The recurrence produces ``det(x*I - A)``; the result is flipped by the
     overall sign ``(-1)^n`` so that ``c_0 = det(A)`` and ``c_n = (-1)^n``.
+    It runs on the integer matrix ``M = d*A``, whose characteristic
+    polynomial has integer coefficients ``b_j``, so every division by ``k`` is
+    exact; the coefficient of ``x^j`` for ``A`` is then ``b_j / d^(n-j)``.
     """
     n, c = shape(a)
     if n != c:
         raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
-    b = [Fraction(0)] * (n + 1)
-    b[n] = Fraction(1)
-    mk = identity(n)
+    m, den = _lattice(a)
+    b = [0] * (n + 1)
+    b[n] = 1
+    mk = _int_identity(n)
     for k in range(1, n + 1):
-        am = matmul(a, mk)
-        b[n - k] = -mtrace(am) / k
-        mk = madd(am, mscale(b[n - k], identity(n)))
+        am = _product(m, mk)
+        q, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        if r:
+            raise ArithmeticError(f"Faddeev-LeVerrier step {k} left a remainder")
+        b[n - k] = q
+        for i in range(n):
+            am[i][i] += q
+        mk = am
     flip = 1 if n % 2 == 0 else -1
-    return tuple(flip * x for x in b)
+    return tuple(Fraction(flip * x, den ** (n - j)) for j, x in enumerate(b))
 
 
 def pfaffian_matchings(a: Matrix) -> Fraction:

@@ -240,11 +240,13 @@ def _dense_worst(grid, n, output_arity, input_arity):
 def test_sparse_sum_matches_dense_sum(n, n_in, n_out, terms, seed):
     assume(not (n % 2 == 0 and (n_in + n_out) % 2))
     rng = Random(seed)
+    # each label over its own denominator, so the terms' denominators differ
+    dens = {lab: rng.randint(1, 7) for lab in "AB"}
     b = MatrixBinding(
         n,
         {
-            lab: [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-            for lab in ("A", "B")
+            lab: [[Fraction(rng.randint(-2, 2), den) for _ in range(n)] for _ in range(n)]
+            for lab, den in dens.items()
         },
     )
     s = FormalSum.of(

@@ -13,10 +13,14 @@ from tracediagrams import (
     DiagramStructureError,
     DimensionMismatchError,
     Edge,
+    FormalSum,
     FramingError,
+    FunctionMatrix,
+    InexactValueError,
     LeafColoringError,
     MatrixBinding,
     TraceDiagram,
+    TraceDiagramError,
     UnboundLabelError,
     builders,
     coefficient,
@@ -28,7 +32,7 @@ from tracediagrams import (
     weight,
 )
 from tracediagrams import matrices as mx
-from tracediagrams.algebra import tensor
+from tracediagrams.algebra import sum_function_matrix, tensor
 from tracediagrams.engine import index_tensor, tensor_index
 from tracediagrams.identities import random_diagram, random_skew_matrix
 
@@ -259,6 +263,44 @@ def test_function_matrix_arithmetic_drops_cancelled_cells():
         fm + loop
 
 
+def test_function_matrix_values_do_not_depend_on_the_denominator():
+    b = MatrixBinding(2, {"A": [[Fraction(1, 2), 0], [Fraction(2, 3), 5]]})
+    fm = function_matrix(builders.matrix_strand(2, ("A",)), b)
+    assert (fm.cells, fm.den) == ({0: 3, 2: 4, 3: 30}, 6)
+    assert fm.entry((2,), (1,)) == Fraction(2, 3) and fm.column((2,)) == (0, 5)
+    thirds = Fraction(1, 3) * fm + Fraction(2, 3) * fm
+    sevenths = Fraction(3, 7) * fm + Fraction(4, 7) * fm
+    assert thirds == sevenths == fm and hash(thirds) == hash(sevenths) == hash(fm)
+    reduced = FunctionMatrix(2, 1, 1, {0: -2, 3: 3}, 5)
+    assert FunctionMatrix(2, 1, 1, {0: 4, 3: -6}, -10) == reduced
+    assert hash(FunctionMatrix(2, 1, 1, {0: 4, 3: -6}, -10)) == hash(reduced)
+    cancelled = Fraction(1, 3) * fm + Fraction(-1, 3) * fm
+    assert cancelled.cells == {} and cancelled == 0 * fm
+    strand = builders.matrix_strand(2, ("A",))
+    s = FormalSum.of((Fraction(1, 3), strand), (Fraction(-1, 3), strand))
+    assert sum_function_matrix(s, b).cells == {}
+
+
+def test_inexact_numbers_are_refused():
+    # a float entry would put a 2^55 denominator into every sum
+    with pytest.raises(InexactValueError):
+        MatrixBinding(2, {"A": [[0.1, 0], [0, 1]]})
+    with pytest.raises(InexactValueError):
+        MatrixBinding(3, vectors={"u": [1, 0.5, 0]})
+    d = builders.matrix_strand(2, ("A",))
+    fm = function_matrix(d, binding2())
+    for make in (
+        lambda: FormalSum.of((0.5, d)),
+        lambda: FormalSum.single(d, 0.5),
+        lambda: FormalSum.single(d).scale(0.5),
+        lambda: 0.5 * fm,
+        lambda: mx.mscale(0.5, mx.identity(2)),
+    ):
+        with pytest.raises(InexactValueError):
+            make()
+    assert issubclass(InexactValueError, TraceDiagramError)
+
+
 def test_multi_marking_collapses_to_product():
     b = MatrixBinding(2, {"A": [[1, 2], [3, 4]], "B": [[0, 1], [1, 1]], "C": [[2, 1], [0, 1]]})
     word = function_matrix(builders.matrix_strand(2, ("A", "B", "C")), b)
@@ -339,6 +381,22 @@ def _assert_engine_matches_enumerator(d, b, rng):
     assert weight(d, leaves, b) == _enumerated_weight(d, leaves, b)
 
 
+def _random_binding(rng, n, vectors=""):
+    """Matrices A and B and the named vectors, entries in [-2, 2] over a
+    denominator drawn from 1..7 per label, so labels differ in denominator;
+    one matrix in five is all zero. Small numerators make about one entry in
+    five zero, so zero pruning is exercised."""
+
+    def entries(den):
+        return [Fraction(rng.randint(-2, 2), den) for _ in range(n)]
+
+    mats = {}
+    for lab in "AB":
+        den = rng.randint(1, 7)
+        mats[lab] = [entries(den) for _ in range(n)] if rng.randrange(5) else [[0] * n] * n
+    return MatrixBinding(n, mats, {lab: entries(rng.randint(1, 7)) for lab in vectors})
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     st.sampled_from((4, 3, 2, 1)),
@@ -350,15 +408,7 @@ def test_engine_matches_enumerator_on_random_diagrams(n, n_in, n_out, seed):
     assume(not (n % 2 == 0 and (n_in + n_out) % 2))
     rng = Random(seed)
     d = random_diagram(rng, n, n_in, n_out)
-    # small entries, so about one in five is zero and zero pruning is exercised
-    b = MatrixBinding(
-        n,
-        {
-            lab: [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-            for lab in ("A", "B")
-        },
-    )
-    _assert_engine_matches_enumerator(d, b, rng)
+    _assert_engine_matches_enumerator(d, _random_binding(rng, n), rng)
 
 
 @pytest.mark.parametrize(
@@ -374,13 +424,7 @@ def test_engine_matches_enumerator_on_random_diagrams(n, n_in, n_out, seed):
 )
 def test_engine_matches_enumerator_on_fixed_diagrams(d):
     rng = Random(d.n)
-    n = d.n
-    b = MatrixBinding(
-        n,
-        {lab: [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for lab in "AB"},
-        {lab: [rng.randint(-1, 2) for _ in range(n)] for lab in "uvwx"},
-    )
-    _assert_engine_matches_enumerator(d, b, rng)
+    _assert_engine_matches_enumerator(d, _random_binding(rng, d.n, "uvwx"), rng)
 
 
 def test_one_diagram_object_under_several_bindings():

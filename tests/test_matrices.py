@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 from random import Random
 
 import pytest
@@ -147,3 +148,106 @@ def test_vector_helpers():
     assert mx.vec_dot(u, v) == 0
     w = mx.freeze_vector([Fraction(1, 2), 2, -1])
     assert mx.vec_dot(w, w) == Fraction(1, 4) + 4 + 1
+
+
+# ---------------------------------------------------------------------------
+# The integer-lattice kernels against plain Fraction arithmetic
+
+
+def ref_matmul(a, b):
+    cols = range(len(b[0]))
+    return tuple(
+        tuple(sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in cols)
+        for row in a
+    )
+
+
+def ref_madd(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_mscale(c, a):
+    return tuple(tuple(Fraction(c) * x for x in row) for row in a)
+
+
+def ref_charpoly(a):
+    """Coefficients of det(A - x I) by expanding over permutations, polynomials as lists."""
+    n = len(a)
+    total = [Fraction(0)] * (n + 1)
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        poly = [Fraction(sign)]
+        for i in range(n):
+            # poly *= a[i][perm[i]] - x when perm[i] == i, else a[i][perm[i]]
+            scaled = [c * a[i][perm[i]] for c in poly] + [Fraction(0)]
+            shifted = [Fraction(0)] + [-c if perm[i] == i else Fraction(0) for c in poly]
+            poly = [p + q for p, q in zip(scaled, shifted)]
+        total = [t + c for t, c in zip(total, poly)]
+    return tuple(total)
+
+
+def ref_polarize(tau, k, mats):
+    n = len(mats[0])
+    total = tuple((Fraction(0),) * n for _ in range(n))
+    for mask in range(2**k):
+        part = tuple((Fraction(0),) * n for _ in range(n))
+        for p in range(k):
+            if mask >> p & 1:
+                part = ref_madd(part, mats[p])
+        sign = (-1) ** (k - bin(mask).count("1"))
+        total = ref_madd(total, ref_mscale(sign, tau(part)))
+    return ref_mscale(Fraction(1, factorial(k)), total)
+
+
+def lattice_cases(n):
+    """Rational matrices with a different denominator per matrix, the zero matrix and I."""
+    rng = Random(f"lattice-{n}")
+    rand = [
+        mx.freeze_matrix(
+            [[Fraction(rng.randint(-9, 9), d) for _ in range(n)] for _ in range(n)]
+        )
+        for d in (1, 2, 3, 7)
+    ]
+    return rand + [mx.zeros(n, n), mx.identity(n)]
+
+
+def exact(m):
+    return all(type(x) is Fraction for row in m for x in row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lattice_kernels_match_fraction_arithmetic(n):
+    cases = lattice_cases(n)
+    for a in cases:
+        for b in cases:
+            assert mx.matmul(a, b) == ref_matmul(a, b) and exact(mx.matmul(a, b))
+            assert mx.madd(a, b) == ref_madd(a, b) and exact(mx.madd(a, b))
+        for c in (0, 3, Fraction(-5, 6)):
+            assert mx.mscale(c, a) == ref_mscale(c, a) and exact(mx.mscale(c, a))
+        assert mx.word_product([a, cases[1], a]) == ref_matmul(ref_matmul(a, cases[1]), a)
+        assert mx.mpow(a, 3) == ref_matmul(ref_matmul(a, a), a)
+        assert mx.bareiss_det(a) == naive_det(a)
+        cs = mx.charpoly_fl(a)
+        assert cs == ref_charpoly(a) and all(type(x) is Fraction for x in cs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_polarize_matches_fraction_inclusion_exclusion(n):
+    from tracediagrams.identities import polarize
+
+    cases = lattice_cases(n)
+
+    def cube(m):
+        return ref_matmul(ref_matmul(m, m), m)
+
+    def trace_square(m):
+        return ref_mscale(sum((m[i][i] for i in range(n)), Fraction(0)), ref_matmul(m, m))
+
+    for tau in (cube, trace_square):
+        for mats in ((cases[0], cases[2], cases[3]), (cases[1], cases[4], cases[5])):
+            got = polarize(tau, 3, mats)
+            assert got == ref_polarize(tau, 3, mats) and exact(got)
