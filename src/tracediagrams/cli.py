@@ -25,13 +25,23 @@ from .identities import (
 )
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file's text; a file that cannot be read or decoded is a typed error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise TraceDiagramError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TraceDiagramError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
+
+
 def _print_matrix(entries) -> None:
     for row in entries:
         print(" ".join(str(x) for x in row))
 
 
 def _cmd_eval(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
+    text = _read_text(args.file)
     entities = parse_diagram_set(text, default_dim=args.dim)
     if args.diagram:
         if args.diagram not in entities:
@@ -52,7 +62,7 @@ def _cmd_eval(args) -> int:
 
     binding = None
     if args.bind:
-        binding = parse_matrix_file(Path(args.bind).read_text(encoding="utf-8"))
+        binding = parse_matrix_file(_read_text(args.bind))
 
     if isinstance(entity, TraceDiagram):
         result = validate(entity)
@@ -88,7 +98,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    binding = parse_matrix_file(Path(args.bind).read_text(encoding="utf-8"))
+    binding = parse_matrix_file(_read_text(args.bind))
     a = binding.matrix(args.matrix)
     diag = charpoly_diagrammatic(a)
     oracle = charpoly_oracle(a)
@@ -179,9 +189,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
-        return 2
     except UnboundLabelError as exc:
         print(str(exc), file=sys.stderr)
         return 2

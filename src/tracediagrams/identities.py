@@ -5,6 +5,13 @@ no tolerances. ``CATALOGUE`` declares each identity, and ``run_identity`` runs
 any of them. Each trial draws its matrices from an RNG seeded with the string
 ``"{seed}:{trial}"`` so runs are reproducible and trials can be distributed
 over worker processes without changing any result.
+
+Only the matrices change between trials. An identity's fixture, built from the
+dimension alone once per run (once per worker process with ``jobs > 1``),
+holds its diagrams and formal sums and the verdicts of its checks that take no
+binding; each trial adds those verdicts' problems to its own record, in the
+order the checks run. ``binor`` takes no binding: trial 0 recomputes every
+entry through per-basis weights, later trials repeat the fixture's verdict.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .engine import (
     function_matrix,
     signature,
     coefficient,
+    tensor_index,
     weight,
 )
 from .errors import HomogeneityError, TraceDiagramError
@@ -103,11 +111,19 @@ def charpoly_diagrammatic(a: matrices.Matrix) -> tuple[Fraction, ...]:
     ``(-1)^(i + floor(n/2)) / (i! (n-i)!)``, is the coefficient of x^i.
     """
     a = matrices.freeze_matrix(a)
+    return _charpoly_from(_charpoly_diagrams(len(a)), a)
+
+
+def _charpoly_diagrams(n: int) -> list[TraceDiagram]:
+    return [builders.char_coeff_diagram(n, i, "A") for i in range(n + 1)]
+
+
+def _charpoly_from(diagrams, a: matrices.Matrix) -> tuple[Fraction, ...]:
     n = len(a)
     binding = MatrixBinding(n, {"A": a})
     out = []
-    for i in range(n + 1):
-        val = evaluate_closed(builders.char_coeff_diagram(n, i, "A"), binding)
+    for i, diagram in enumerate(diagrams):
+        val = evaluate_closed(diagram, binding)
         scale = Fraction((-1) ** (i + n // 2), factorial(i) * factorial(n - i))
         out.append(scale * val)
     return tuple(out)
@@ -285,11 +301,16 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-trial checks: (n, rng, trial) -> the trial's record fields, at least "ok"
+# Per-trial checks: (n, rng, trial, fixture) -> the trial's record fields, at
+# least "ok"; each fixture builder sits next to its check
 
 
 def _verdict(problems: list[str]) -> dict:
     return {"ok": not problems, "detail": "; ".join(problems)}
+
+
+def _labels(n: int) -> list[str]:
+    return [f"A{i}" for i in range(1, n + 1)]
 
 
 def _six_summand_problems(binding: MatrixBinding, a1: str, a2: str) -> list[str]:
@@ -314,23 +335,34 @@ def _six_summand_problems(binding: MatrixBinding, a1: str, a2: str) -> list[str]
     return problems
 
 
-def _cycle_coefficients(k: int, n: int, binding: MatrixBinding, label: str = "A"):
+def _loop_sums(n: int, k: int, label: str = "A") -> list[FormalSum]:
+    """The closed j-loop antisymmetrizers with every loop marked ``label``, j = 0..k."""
+    return [builders.antisym_closed_loops(n, [label] * j) for j in range(k + 1)]
+
+
+def _cycle_coefficients(k: int, loops: list[FormalSum], binding: MatrixBinding):
     """``(-1)^i k!/(k-i)! * (closed (k-i)-loop antisymmetrizer)``, the
-    coefficient of A^i in the cycle decomposition, for i = 0..k."""
+    coefficient of A^i in the cycle decomposition, for i = 0..k; ``loops``
+    are :func:`_loop_sums` up to at least k."""
     return [
         Fraction((-1) ** i * factorial(k), factorial(k - i))
-        * sum_closed_value(builders.antisym_closed_loops(n, [label] * (k - i)), binding)
+        * sum_closed_value(loops[k - i], binding)
         for i in range(k + 1)
     ]
 
 
-def _check_cayley_hamilton(n: int, rng: Random, trial: int) -> dict:
+def _ch_fixture(n: int):
+    return builders.ch_diagram(n, ["A"] * n), _loop_sums(n, n)
+
+
+def _check_cayley_hamilton(n: int, rng: Random, trial: int, fix) -> dict:
+    total, loops = fix
     a = random_int_matrix(rng, n)
     binding = MatrixBinding(n, {"A": a})
-    fm = sum_function_matrix(builders.ch_diagram(n, ["A"] * n), binding)
+    fm = sum_function_matrix(total, binding)
     problems = [] if fm.is_zero() else ["diagram sum is not the zero matrix"]
 
-    coeffs = _cycle_coefficients(n, n, binding)
+    coeffs = _cycle_coefficients(n, loops, binding)
     rhs = _poly_at(coeffs, a)
     problems += [
         f"strand coefficient {i} != n! * c_{i}"
@@ -351,52 +383,60 @@ def _check_cayley_hamilton(n: int, rng: Random, trial: int) -> dict:
     return _verdict(problems)
 
 
-def _check_generalized_ch(n: int, rng: Random, trial: int) -> dict:
-    labels = [f"A{i}" for i in range(1, n + 1)]
-    binding = MatrixBinding(n, {lab: random_int_matrix(rng, n) for lab in labels})
-    fm = sum_function_matrix(builders.ch_diagram(n, labels), binding)
+def _check_generalized_ch(n: int, rng: Random, trial: int, fix) -> dict:
+    binding = MatrixBinding(n, {lab: random_int_matrix(rng, n) for lab in _labels(n)})
+    fm = sum_function_matrix(fix, binding)
     problems = [] if fm.is_zero() else ["diagram sum is not the zero matrix"]
     if n == 2:
         problems += _six_summand_problems(binding, "A1", "A2")
     return _verdict(problems)
 
 
-def _check_binor(n: int, rng: Random, trial: int) -> dict:
-    # the first trial also recomputes every entry through per-basis weights
-    mode = "all-bases" if trial == 0 else "exact-on-binding"
-    check = is_relation(builders.binor_relation(), None, mode=mode)
+def _check_binor(n: int, rng: Random, trial: int, fix) -> dict:
+    # the relation takes no binding, so later trials repeat the fixture's
+    # verdict; the first also recomputes every entry through per-basis weights
+    check = is_relation(builders.binor_relation(), None, mode="all-bases") if trial == 0 else fix
     return _verdict([] if check.holds else [f"residual {check.residual}"])
 
 
-def _check_det_diagram(n: int, rng: Random, trial: int) -> dict:
+def _check_det_diagram(n: int, rng: Random, trial: int, fix) -> dict:
     a = random_int_matrix(rng, n)
-    got = evaluate_closed(builders.determinant_diagram(n, "A"), MatrixBinding(n, {"A": a}))
+    got = evaluate_closed(fix, MatrixBinding(n, {"A": a}))
     want = Fraction((-1) ** (n // 2) * factorial(n)) * matrices.bareiss_det(a)
     return _verdict([] if got == want else [f"diagram {got} vs oracle {want}"])
 
 
+def _det_sum_terms(n: int, a_label: str = "A", b_label: str = "B") -> list[TraceDiagram]:
+    return [builders.det_sum_term(n, i, a_label, b_label) for i in range(n + 1)]
+
+
 def det_sum_check(n: int, binding: MatrixBinding, a_label: str = "A", b_label: str = "B") -> bool:
     """det(A+B) against the split two-vertex diagrams, exactly."""
+    return _det_split_holds(_det_sum_terms(n, a_label, b_label), binding, a_label, b_label)
+
+
+def _det_split_holds(terms, binding: MatrixBinding, a_label: str = "A", b_label: str = "B") -> bool:
+    n = len(terms) - 1
     lhs = matrices.bareiss_det(
         matrices.madd(binding.matrix(a_label), binding.matrix(b_label))
     )
     total = Fraction(0)
-    for i in range(n + 1):
-        val = evaluate_closed(builders.det_sum_term(n, i, a_label, b_label), binding)
+    for i, term in enumerate(terms):
+        val = evaluate_closed(term, binding)
         total += Fraction(1, factorial(i) * factorial(n - i)) * val
     return lhs == Fraction((-1) ** (n // 2)) * total
 
 
-def _check_det_sum(n: int, rng: Random, trial: int) -> dict:
+def _check_det_sum(n: int, rng: Random, trial: int, fix) -> dict:
     binding = MatrixBinding(
         n, {"A": random_int_matrix(rng, n), "B": random_int_matrix(rng, n)}
     )
-    return _verdict([] if det_sum_check(n, binding) else ["determinant split failed"])
+    return _verdict([] if _det_split_holds(fix, binding) else ["determinant split failed"])
 
 
-def _check_charpoly(n: int, rng: Random, trial: int) -> dict:
+def _check_charpoly(n: int, rng: Random, trial: int, fix) -> dict:
     a = random_int_matrix(rng, n)
-    got = charpoly_diagrammatic(a)
+    got = _charpoly_from(fix, a)
     want = charpoly_oracle(a)
     return _verdict([] if got == want else [f"diagram {got} vs oracle {want}"])
 
@@ -425,22 +465,28 @@ def marked_exchange_check(n: int, k: int, binding: MatrixBinding, label: str = "
     together and the multiset of selected entries is unchanged."""
     d = builders.two_node_pair(n, k, ((label,),) * (n - k))
     shared = [f"s{j}" for j in range(1, n - k + 1)]
-    for col in enumerate_colorings(d):
-        base = signature(d, col) * coefficient(d, col, binding)
+    # each coloring's contribution once; every image under a permutation of
+    # the shared edges is admissible too, so it must be in the map, equal
+    value = {
+        col: signature(d, col) * coefficient(d, col, binding) for col in enumerate_colorings(d)
+    }
+    for col, base in value.items():
         pairs = col.as_dict()
         for rho in permutations(shared):
             permuted = dict(pairs)
             for src, dst in zip(shared, rho):
                 permuted[dst] = pairs[src]
-            col2 = Coloring.from_dict(permuted)
-            if signature(d, col2) * coefficient(d, col2, binding) != base:
+            if value.get(Coloring.from_dict(permuted)) != base:
                 return False
     return True
 
 
-def _check_antisym_two_node(n: int, rng: Random, trial: int) -> dict:
-    problems = []
+def _antisym_fixture(n: int) -> list[list[str]]:
+    """Per k, the problems of the binding-free checks: the two-vertex expansion
+    and the shared-edge multiplicity."""
+    out = []
     for k in range(n + 1):
+        problems = []
         anti = sum_function_matrix(builders.antisymmetrizer(n, k), None)
         pair = function_matrix(builders.two_node_antisym(n, k), None)
         scaled = Fraction((-1) ** (n // 2), factorial(n - k)) * pair
@@ -448,6 +494,14 @@ def _check_antisym_two_node(n: int, rng: Random, trial: int) -> dict:
             problems.append(f"two-vertex expansion fails at k={k}")
         if k < n and not multiplicity_ratio_check(n, k):
             problems.append(f"shared-edge multiplicity fails at k={k}")
+        out.append(problems)
+    return out
+
+
+def _check_antisym_two_node(n: int, rng: Random, trial: int, fix) -> dict:
+    problems = []
+    for k, fixed in enumerate(fix):
+        problems += fixed
         if k < n:
             binding = MatrixBinding(n, {"A": random_int_matrix(rng, n)})
             if not marked_exchange_check(n, k, binding):
@@ -461,18 +515,30 @@ def symmetrizer_sum_check(k: int, n: int, binding: MatrixBinding, label: str = "
     The k-loop diagram sum equals
     ``sum_i (-1)^i k!/(k-i)! * (closed (k-i)-loop antisymmetrizer) * A^i``.
     """
-    lhs = sum_function_matrix(builders.ch_diagram(n, [label] * k), binding).as_matrix()
-    rhs = _poly_at(_cycle_coefficients(k, n, binding, label), binding.matrix(label))
+    total = builders.ch_diagram(n, [label] * k)
+    return _cycle_sum_holds(k, total, _loop_sums(n, k, label), binding, label)
+
+
+def _cycle_sum_holds(
+    k: int, total: FormalSum, loops, binding: MatrixBinding, label: str = "A"
+) -> bool:
+    lhs = sum_function_matrix(total, binding).as_matrix()
+    rhs = _poly_at(_cycle_coefficients(k, loops, binding), binding.matrix(label))
     return matrices.matrices_equal(lhs, rhs)
 
 
-def _check_symmetrizer_sum(n: int, rng: Random, trial: int) -> dict:
+def _symmetrizer_fixture(n: int):
+    return [builders.ch_diagram(n, ["A"] * k) for k in range(n + 1)], _loop_sums(n, n)
+
+
+def _check_symmetrizer_sum(n: int, rng: Random, trial: int, fix) -> dict:
+    totals, loops = fix
     binding = MatrixBinding(n, {"A": random_int_matrix(rng, n)})
-    bad = [k for k in range(n + 1) if not symmetrizer_sum_check(k, n, binding)]
+    bad = [k for k, total in enumerate(totals) if not _cycle_sum_holds(k, total, loops, binding)]
     return _verdict([f"fails for k in {bad}"] if bad else [])
 
 
-def _check_fricke(n: int, rng: Random, trial: int) -> dict:
+def _check_fricke(n: int, rng: Random, trial: int, fix) -> dict:
     a, b, c = (random_rational_matrix(rng, 2) for _ in range(3))
     binding = MatrixBinding(2, {"A": a, "B": b, "C": c})
 
@@ -494,7 +560,7 @@ def _check_fricke(n: int, rng: Random, trial: int) -> dict:
     return _verdict(problems)
 
 
-def _check_vector(n: int, rng: Random, trial: int) -> dict:
+def _check_vector(n: int, rng: Random, trial: int, fix) -> dict:
     vecs = {lab: random_rational_vector(rng, 3) for lab in ("u", "v", "w", "x")}
     u, v, w, x = vecs.values()
     binding = MatrixBinding(3, vectors=vecs)
@@ -523,32 +589,47 @@ def _check_vector(n: int, rng: Random, trial: int) -> dict:
     return _verdict(problems)
 
 
-def _check_framing_independence(n: int, rng: Random, trial: int) -> dict:
-    problems = []
+def _framing_fixture(n: int):
+    """The binor relation's verdict under every leaf partition; the marked
+    two-strand diagram, its leaf colorings, and each reframing with the flat
+    cell index each coloring stands for in its function matrix."""
     rel = builders.binor_relation()
     _, first = rel.terms[0]
     splits = _bitmask_splits(range(len(first.inputs + first.outputs)))
-    if not all(is_relation(reframe_positions(rel, ins, outs)).holds for ins, outs in splits):
-        problems.append("vertex-pair relation breaks under some leaf partition")
+    holds = all(is_relation(reframe_positions(rel, ins, outs)).holds for ins, outs in splits)
+    d = tensor(builders.matrix_strand(3, ("A",)), builders.matrix_strand(3, ("B",)))
+    leaves = list(d.inputs) + list(d.outputs)
+    colorings = [dict(zip(leaves, c)) for c in product(range(1, 4), repeat=len(leaves))]
+    framed = [
+        (
+            reframe(d, ins, outs),
+            [
+                tensor_index([c[v] for v in outs], 3) * 3 ** len(ins)
+                + tensor_index([c[v] for v in ins], 3)
+                for c in colorings
+            ],
+        )
+        for ins, outs in _bitmask_splits(leaves)
+    ]
+    return holds, d, colorings, framed
+
+
+def _check_framing_independence(n: int, rng: Random, trial: int, fix) -> dict:
+    holds, d, colorings, framed = fix
+    problems = [] if holds else ["vertex-pair relation breaks under some leaf partition"]
 
     # weights of a marked diagram must not depend on the framing either
     binding = MatrixBinding(
         3, {"A": random_rational_matrix(rng, 3), "B": random_rational_matrix(rng, 3)}
     )
-    d = tensor(builders.matrix_strand(3, ("A",)), builders.matrix_strand(3, ("B",)))
-    leaves = list(d.inputs) + list(d.outputs)
-    colorings = [dict(zip(leaves, c)) for c in product(range(1, 4), repeat=len(leaves))]
     weights = [weight(d, c, binding) for c in colorings]
     # every framing's function matrix must hold, at the cell a leaf coloring
-    # stands for, that coloring's weight
-    framed = (
-        (ins, outs, function_matrix(reframe(d, ins, outs), binding))
-        for ins, outs in _bitmask_splits(leaves)
-    )
+    # stands for, that coloring's weight: cells[idx] / den == w, cross-multiplied
+    matrices_and_cells = ((function_matrix(f, binding), cells) for f, cells in framed)
     if any(
-        fm.entry([c[v] for v in outs], [c[v] for v in ins]) != w
-        for ins, outs, fm in framed
-        for c, w in zip(colorings, weights)
+        fm.cells.get(idx, 0) * w.denominator != w.numerator * fm.den
+        for fm, cells in matrices_and_cells
+        for idx, w in zip(cells, weights)
     ):
         problems.append("weight changed under reframing")
     return _verdict(problems)
@@ -632,7 +713,7 @@ def _arity(rng: Random, n: int, glue: int) -> int:
     return rng.randint(0, 2)
 
 
-def _check_functoriality(n: int, rng: Random, trial: int) -> dict:
+def _check_functoriality(n: int, rng: Random, trial: int, fix) -> dict:
     binding = MatrixBinding(
         n, {"A": random_int_matrix(rng, n, -4, 4), "B": random_int_matrix(rng, n, -4, 4)}
     )
@@ -653,26 +734,35 @@ def _check_functoriality(n: int, rng: Random, trial: int) -> dict:
     return _verdict(problems)
 
 
-def _check_polarization(n: int, rng: Random, trial: int) -> dict:
-    labels = [f"A{i}" for i in range(1, n + 1)]
+def _polarization_fixture(n: int):
+    """Per summand class (i, cycle type), its signed count and diagram sum,
+    in sorted class order; and the whole multi-label diagram sum."""
+    labels = _labels(n)
+    closure = {j: labels[j - 2] for j in range(2, n + 2)}
+    classes = []
+    for (i, lam), members in sorted(_closure_classes(n).items()):
+        terms = [
+            (perms.sign(img), builders.closure_diagram(n, img, closure, open_strand=1))
+            for img in members
+        ]
+        classes.append((i, lam, len(members) * terms[0][0], FormalSum.of(*terms)))
+    return classes, builders.ch_diagram(n, labels)
+
+
+def _check_polarization(n: int, rng: Random, trial: int, fix) -> dict:
+    classes, total = fix
+    labels = _labels(n)
     mats = [random_int_matrix(rng, n, -5, 5) for _ in labels]
     binding = MatrixBinding(n, dict(zip(labels, mats)))
-    closure = {j: labels[j - 2] for j in range(2, n + 2)}
     problems = []
-    for (i, lam), members in sorted(_closure_classes(n).items()):
-        sub = FormalSum.of(
-            *(
-                (perms.sign(img), builders.closure_diagram(n, img, closure, open_strand=1))
-                for img in members
-            )
-        )
+    for i, lam, count, sub in classes:
         got = sum_function_matrix(sub, binding).as_matrix()
         pol = matrices._rational(*_polar_lattice(_monomial_fn(i, lam), n, mats))
-        want = matrices.mscale(len(members) * perms.sign(members[0]), pol)
+        want = matrices.mscale(count, pol)
         if not matrices.matrices_equal(got, want):
             problems.append(f"class (i={i}, cycles={lam}) mismatch")
 
-    full = sum_function_matrix(builders.ch_diagram(n, labels), binding).as_matrix()
+    full = sum_function_matrix(total, binding).as_matrix()
 
     def tau(rows, den):  # p_x(x): homogeneous of degree n in x, zero by Cayley-Hamilton
         return _poly_lattice(charpoly_oracle(matrices._rational(rows, den)), rows, den)
@@ -685,7 +775,7 @@ def _check_polarization(n: int, rng: Random, trial: int) -> dict:
     return _verdict(problems)
 
 
-def _check_pfaffian(n: int, rng: Random, trial: int) -> dict:
+def _check_pfaffian(n: int, rng: Random, trial: int, fix) -> dict:
     a = random_skew_matrix(rng, n)
     pf = matrices.pfaffian_matchings(a)
     if pf == 0:
@@ -712,46 +802,91 @@ def _pfaffian_summary(n: int, results: list) -> tuple[dict, bool]:
 
 @dataclass(frozen=True)
 class Identity:
-    """A per-trial check ``(n, rng, trial) -> record fields`` and its dimensions.
+    """A per-trial check ``(n, rng, trial, fixture) -> record fields`` and its dimensions.
 
-    ``dims`` of ``None`` accepts any dimension. ``summary(n, results)`` sees all
-    records after the trials, may mark some failed, and returns the report's
-    extra data and whether the run is inconclusive.
+    ``fixture(n)`` builds what every trial shares: the diagrams and the
+    verdicts of the checks that take no binding. A run builds it once, in
+    each worker process that runs its trials, and hands it to every trial;
+    without a builder the check gets ``None``. ``dims`` of ``None`` accepts
+    any dimension. ``summary(n, results)`` sees all records after the trials,
+    may mark some failed, and returns the report's extra data and whether the
+    run is inconclusive.
     """
 
-    check: Callable[[int, Random, int], dict]
+    check: Callable[[int, Random, int, object], dict]
     default_dim: int
     dims: Optional[tuple[int, ...]]
     summary: Optional[Callable[[int, list], tuple[dict, bool]]] = None
+    fixture: Optional[Callable[[int], object]] = None
 
 
 CATALOGUE: dict[str, Identity] = {
-    "ch": Identity(_check_cayley_hamilton, 2, (1, 2, 3)),
-    "ch-general": Identity(_check_generalized_ch, 2, (1, 2, 3)),
-    "binor": Identity(_check_binor, 3, (3,)),
-    "det-diagram": Identity(_check_det_diagram, 2, (1, 2, 3, 4)),
-    "det-sum": Identity(_check_det_sum, 2, (1, 2, 3)),
-    "charpoly": Identity(_check_charpoly, 2, (1, 2, 3, 4)),
-    "antisym-two-node": Identity(_check_antisym_two_node, 2, (1, 2, 3)),
-    "symmetrizer-sum": Identity(_check_symmetrizer_sum, 2, (1, 2, 3)),
+    "ch": Identity(_check_cayley_hamilton, 2, (1, 2, 3), fixture=_ch_fixture),
+    "ch-general": Identity(
+        _check_generalized_ch, 2, (1, 2, 3), fixture=lambda n: builders.ch_diagram(n, _labels(n))
+    ),
+    "binor": Identity(
+        _check_binor, 3, (3,), fixture=lambda n: is_relation(builders.binor_relation(), None)
+    ),
+    "det-diagram": Identity(
+        _check_det_diagram, 2, (1, 2, 3, 4), fixture=lambda n: builders.determinant_diagram(n, "A")
+    ),
+    "det-sum": Identity(_check_det_sum, 2, (1, 2, 3), fixture=_det_sum_terms),
+    "charpoly": Identity(_check_charpoly, 2, (1, 2, 3, 4), fixture=_charpoly_diagrams),
+    "antisym-two-node": Identity(_check_antisym_two_node, 2, (1, 2, 3), fixture=_antisym_fixture),
+    "symmetrizer-sum": Identity(_check_symmetrizer_sum, 2, (1, 2, 3), fixture=_symmetrizer_fixture),
     "fricke": Identity(_check_fricke, 2, (2,)),
     "vector": Identity(_check_vector, 3, (3,)),
-    "framing-independence": Identity(_check_framing_independence, 3, (3,)),
+    "framing-independence": Identity(
+        _check_framing_independence, 3, (3,), fixture=_framing_fixture
+    ),
     "functoriality": Identity(_check_functoriality, 2, (1, 2, 3)),
     # run by the `polarize` and `pfaffian` commands rather than by `verify`
     "polarization": Identity(
-        _check_polarization, 2, None, lambda n, results: ({"constant": factorial(n)}, False)
+        _check_polarization,
+        2,
+        None,
+        lambda n, results: ({"constant": factorial(n)}, False),
+        _polarization_fixture,
     ),
     "pfaffian": Identity(_check_pfaffian, 4, None, _pfaffian_summary),
 }
 
 
+# The fixtures of the run in progress, by (identity, n); None outside a run.
+# A serial run sets it for the length of its trials and a worker process for
+# its own life, which ends with the run's pool, so no fixture outlives its run.
+_run_fixtures: Optional[dict] = None
+
+
+def _fixture(identity: str, n: int):
+    build = CATALOGUE[identity].fixture
+    if build is None:
+        return None
+    if _run_fixtures is None:  # a trial run on its own
+        return build(n)
+    key = (identity, n)
+    if key not in _run_fixtures:
+        _run_fixtures[key] = build(n)
+    return _run_fixtures[key]
+
+
+def _start_worker() -> None:
+    global _run_fixtures
+    _run_fixtures = {}
+
+
 def _map_trials(identity: str, n: int, trials: int, seed, jobs: int):
+    global _run_fixtures
     args = [(identity, n, seed, t) for t in range(trials)]
-    if jobs <= 1:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker) as pool:
+            return list(pool.map(_trial_star, args))
+    saved, _run_fixtures = _run_fixtures, {}
+    try:
         return [run_single_trial(*a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_trial_star, args))
+    finally:
+        _run_fixtures = saved
 
 
 def _trial_star(args):
@@ -759,7 +894,7 @@ def _trial_star(args):
 
 
 def run_single_trial(identity: str, n: int, seed, trial: int) -> dict:
-    fields = CATALOGUE[identity].check(n, trial_rng(seed, trial), trial)
+    fields = CATALOGUE[identity].check(n, trial_rng(seed, trial), trial, _fixture(identity, n))
     return {"trial": trial, **fields}
 
 

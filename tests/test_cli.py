@@ -77,6 +77,27 @@ def test_eval_missing_file(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.tdg")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "{dir}"],
+        ["eval", "{garbled}"],
+        ["eval", "{tdg}", "--bind", "{garbled}"],
+        ["eval", "{tdg}", "--bind", "{dir}"],
+        ["charpoly", "--bind", "{garbled}"],
+        ["charpoly", "--bind", "{dir}"],
+    ],
+)
+def test_unreadable_input_file_exits_2(tmp_path, capsys, argv):
+    tdg = tmp_path / "s.tdg"
+    tdg.write_text("diagram s = builtin:strand(A) @ dim 2\n", encoding="utf-8")
+    garbled = tmp_path / "garbled.tdg"
+    garbled.write_bytes(b"\xff\xfe")
+    paths = {"dir": tmp_path, "garbled": garbled, "tdg": tdg}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "ch", "--dim", "2", "--trials", "2", "--seed", "9"]) == 0
     out = capsys.readouterr().out

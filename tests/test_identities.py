@@ -15,6 +15,7 @@ from tracediagrams import (
     builders,
     validate,
 )
+from tracediagrams import identities
 from tracediagrams import matrices as mx
 from tracediagrams.identities import (
     VerificationReport,
@@ -95,6 +96,20 @@ def test_parallel_trials_match_serial():
             run_identity("polarization", n=2, trials=3, seed=3, jobs=2),
         ),
     ]
+    # identities whose workers build a fixture
+    for identity, n in [
+        ("antisym-two-node", 3),
+        ("framing-independence", 3),
+        ("binor", 3),
+        ("ch", 3),
+        ("symmetrizer-sum", 3),
+    ]:
+        pairs.append(
+            (
+                run_identity(identity, n=n, trials=3, seed=3, jobs=1),
+                run_identity(identity, n=n, trials=3, seed=3, jobs=2),
+            )
+        )
     for serial, parallel in pairs:
         assert serial.records == parallel.records
         assert serial.status == parallel.status
@@ -139,6 +154,70 @@ def test_records_are_pinned(identity):
     else:
         report = run_identity(identity, trials=5, seed=0)
     assert _records_digest(report) == PINNED_RECORDS[identity]
+
+
+def test_fixture_is_built_once_per_run(monkeypatch):
+    calls = []
+    build = builders.ch_diagram
+
+    def counted(n, labels):
+        calls.append((n, tuple(labels)))
+        return build(n, labels)
+
+    monkeypatch.setattr(builders, "ch_diagram", counted)
+    assert run_identity("ch-general", n=3, trials=4, seed=1).ok
+    assert calls == [(3, ("A1", "A2", "A3"))]
+    # the next run builds its own
+    assert run_identity("ch-general", n=3, trials=2, seed=1).ok
+    assert len(calls) == 2
+    assert identities._run_fixtures is None
+
+
+def test_binding_free_failure_shows_in_every_trial(monkeypatch):
+    # the binding-free multiplicity check runs once per run; its message
+    # still comes before each k's per-trial exchange check
+    monkeypatch.setattr(identities, "multiplicity_ratio_check", lambda n, k: False)
+    monkeypatch.setattr(identities, "marked_exchange_check", lambda n, k, b: False)
+    report = run_identity("antisym-two-node", n=2, trials=3, seed=0)
+    assert report.status == "failed"
+    want = "; ".join(
+        f"{check} fails at k={k}"
+        for k in (0, 1)
+        for check in ("shared-edge multiplicity", "marked exchange invariance")
+    )
+    assert [w["detail"] for w in report.witnesses] == [want] * 3
+
+
+def _exchange_mutant(monkeypatch, tamper):
+    """marked_exchange_check at n=3, k=0 with ``tamper(d, colorings)`` applied
+    to the enumerator's stream."""
+    enumerate_colorings = identities.enumerate_colorings
+    monkeypatch.setattr(
+        identities, "enumerate_colorings", lambda d: tamper(d, list(enumerate_colorings(d)))
+    )
+    b = MatrixBinding(3, {"A": [[1, 2, 0], [0, 3, 1], [4, 0, 1]]})
+    return marked_exchange_check(3, 0, b)
+
+
+def test_marked_exchange_fails_on_a_changed_contribution(monkeypatch):
+    coefficient = identities.coefficient
+    target = []
+
+    def tamper(d, colorings):
+        target.append(colorings[1])
+        return colorings
+
+    def changed(d, col, binding):
+        value = coefficient(d, col, binding)
+        return value + 1 if col == target[0] else value
+
+    monkeypatch.setattr(identities, "coefficient", changed)
+    assert not _exchange_mutant(monkeypatch, tamper)
+
+
+def test_marked_exchange_fails_on_a_dropped_image(monkeypatch):
+    assert _exchange_mutant(monkeypatch, lambda d, colorings: colorings)
+    assert not _exchange_mutant(monkeypatch, lambda d, colorings: colorings[:1] + colorings[2:])
 
 
 def test_det_sum_special_cases():
