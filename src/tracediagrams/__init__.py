@@ -11,17 +11,14 @@ they encode against independent classical oracles.
 
 from .algebra import (
     RelationCheck,
-    add,
     compose,
     compose_sums,
     is_relation,
     reframe,
     reframe_positions,
-    scale,
     sum_closed_value,
     sum_function_matrix,
     tensor,
-    tensor_sums,
 )
 from .diagram import (
     Coloring,

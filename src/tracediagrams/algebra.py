@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Union
 
 from .diagram import (
@@ -31,6 +31,7 @@ from .diagram import (
 )
 from .engine import (
     FunctionMatrix,
+    _sum_cells,
     evaluate_closed,
     function_matrix,
     index_tensor,
@@ -222,29 +223,12 @@ def _as_sum(x: DiagramOrSum) -> FormalSum:
     return x if isinstance(x, FormalSum) else FormalSum.single(x)
 
 
-def add(a: FormalSum, b: FormalSum) -> FormalSum:
-    return _as_sum(a) + _as_sum(b)
-
-
-def scale(c, s: FormalSum) -> FormalSum:
-    return _as_sum(s).scale(c)
-
-
 def compose_sums(top: DiagramOrSum, bottom: DiagramOrSum) -> FormalSum:
     """Bilinear extension of composition to formal sums."""
     terms = [
         (ct * cb, compose(dt, db))
         for ct, dt in _as_sum(top).terms
         for cb, db in _as_sum(bottom).terms
-    ]
-    return FormalSum(tuple(terms))
-
-
-def tensor_sums(left: DiagramOrSum, right: DiagramOrSum) -> FormalSum:
-    terms = [
-        (cl * cr, tensor(dl, dr))
-        for cl, dl in _as_sum(left).terms
-        for cr, dr in _as_sum(right).terms
     ]
     return FormalSum(tuple(terms))
 
@@ -283,35 +267,15 @@ def _nonempty_terms(s: DiagramOrSum):
 
 
 def sum_function_matrix(
-    s: DiagramOrSum,
-    binding: Optional[MatrixBinding] = None,
-    prune_zeros: bool = True,
+    s: DiagramOrSum, binding: Optional[MatrixBinding] = None
 ) -> FunctionMatrix:
     """Function matrix of a formal sum: the coefficient-weighted sum of term matrices.
 
-    The terms' integer cells are added into one map over a common denominator,
-    which grows to take in each term's; cells that cancel are dropped.
+    The terms' matrices are built one at a time and their integer cells added
+    into one map over a common denominator (:func:`engine._sum_cells`), which
+    grows to take in each term's; cells that cancel are dropped.
     """
-    shape = None
-    total: dict[int, int] = {}
-    den = 1
-    for c, d in _nonempty_terms(s):
-        fm = function_matrix(d, binding, prune_zeros)
-        if shape is None:
-            shape = (fm.n, fm.input_arity, fm.output_arity)
-        elif (fm.n, fm.input_arity, fm.output_arity) != shape:
-            raise FramingError("function matrices have different shapes")
-        term_den = c.denominator * fm.den
-        if den % term_den:
-            grow = lcm(den, term_den) // den
-            total = {idx: grow * x for idx, x in total.items()}
-            den *= grow
-        k = c.numerator * (den // term_den)
-        for idx, x in fm.cells.items():
-            if k != 1:
-                x *= k
-            total[idx] = total[idx] + x if idx in total else x
-    return FunctionMatrix(*shape, {idx: x for idx, x in total.items() if x}, den)
+    return _sum_cells((c, function_matrix(d, binding)) for c, d in _nonempty_terms(s))
 
 
 def sum_closed_value(

@@ -8,31 +8,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
+from . import matrices
 from .algebra import sum_closed_value, sum_function_matrix
 from .diagram import TraceDiagram, validate
-from .dsl import parse_diagram_set, parse_matrix_file
+from .dsl import _read_text, parse_diagram_set, parse_matrix_file
 from .engine import evaluate_closed, function_matrix
-from .errors import DslSyntaxError, TraceDiagramError, UnboundLabelError
+from .errors import DslSyntaxError, TraceDiagramError
 from .identities import (
     CATALOGUE,
     charpoly_diagrammatic,
-    charpoly_oracle,
     pfaffian_scan,
     polarization_check,
     run_identity,
 )
-
-
-def _read_text(path: str) -> str:
-    """A UTF-8 input file's text; a file that cannot be read or decoded is a typed error."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TraceDiagramError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise TraceDiagramError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
 
 
 def _print_matrix(entries) -> None:
@@ -101,7 +90,7 @@ def _cmd_charpoly(args) -> int:
     binding = parse_matrix_file(_read_text(args.bind))
     a = binding.matrix(args.matrix)
     diag = charpoly_diagrammatic(a)
-    oracle = charpoly_oracle(a)
+    oracle = matrices.charpoly_fl(a)
     mismatch = False
     for i, (d, o) in enumerate(zip(diag, oracle)):
         flag = "" if d == o else "  MISMATCH"
@@ -189,9 +178,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UnboundLabelError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except DslSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

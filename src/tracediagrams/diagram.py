@@ -16,7 +16,7 @@ threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -100,12 +100,6 @@ class TraceDiagram:
                 return v
         raise KeyError(vid)
 
-    def edge(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
-
     def incidence(self) -> dict[str, list[EndRef]]:
         """Vertex id -> incident edge ends, in edge-declaration order."""
         inc: dict[str, list[EndRef]] = {v.id: [] for v in self.vertices}
@@ -141,11 +135,6 @@ class TraceDiagram:
             for v in self.vertices
             if v.kind == LEAF and v.vector_label is not None
         }
-
-    def with_framing(
-        self, inputs: Iterable[str], outputs: Iterable[str]
-    ) -> "TraceDiagram":
-        return replace(self, inputs=tuple(inputs), outputs=tuple(outputs))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .diagram import (
     TraceDiagram,
     Vertex,
 )
-from .errors import DslSyntaxError
+from .errors import DslSyntaxError, TraceDiagramError
 
 _ID = r"[A-Za-z_][A-Za-z0-9_.-]*"
 _ID_RE = re.compile(rf"^{_ID}$")
@@ -51,6 +51,16 @@ _BUILTIN_RE = re.compile(rf"^builtin:({_ID})\((.*?)\)\s*(?:@\s*dim\s+(\d+))?$")
 _TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\s*\*\s*(\S.*)$")
 
 Entity = Union[TraceDiagram, FormalSum]
+
+
+def _read_text(path) -> str:
+    """A UTF-8 input file's text; a file that cannot be read or decoded is a typed error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise TraceDiagramError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TraceDiagramError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
 
 
 def _logical_lines(text: str):
@@ -382,7 +392,7 @@ def parse_relation(
 def parse_relation_file(path) -> FormalSum:
     """Parse a .trel file, resolving ``use <file.tdg>`` imports next to it."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     registry: dict[str, Entity] = {}
     kept: list[str] = []
     for line, stmt in _logical_lines(text):
@@ -390,8 +400,7 @@ def parse_relation_file(path) -> FormalSum:
         if words[0] == "use":
             if len(words) != 2:
                 raise DslSyntaxError("expected 'use <file.tdg>'", line)
-            target = path.parent / words[1]
-            registry.update(parse_diagram_set(target.read_text(encoding="utf-8")))
+            registry.update(parse_diagram_set(_read_text(path.parent / words[1])))
         else:
             kept.append(stmt)
     return parse_relation("\n".join(kept), registry=registry)

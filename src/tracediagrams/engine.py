@@ -18,16 +18,20 @@ what the rest of the sum can still see: the set of labels used so far at each
 internal vertex, kept as a bitmask, and the labels placed at the open leaves
 that a function matrix is indexed by. This reads each internal vertex as an
 exterior product: the determinant diagram passes through C(2n, n) states in
-all rather than (n!)^2 colorings. A placed label's sign is the parity of the larger
-labels already at its vertex, which gives the sign of the vertex read in
-placement order; one sign per vertex, fixed by the diagram, converts that to
-the ciliation order. :func:`enumerate_colorings`, :func:`signature` and
-:func:`coefficient` keep the definition itself, and the tests compare the two.
+all rather than (n!)^2 colorings. An edge's label pairs with the same effect
+on the state are merged, and a merged pair whose coefficient is zero is never
+placed. A placed label's sign is the parity of the larger labels already at
+its vertex, which gives the sign of the vertex read in placement order; one
+sign per vertex, fixed by the diagram, converts that to the ciliation order.
+:func:`enumerate_colorings`, :func:`signature` and :func:`coefficient` keep
+the definition itself, and the tests compare the two.
 
 The signed sum runs on integers. Each edge's word product and each vector is
 read from the binding as integer entries over one denominator, so the sum of a
 whole diagram is an integer over the product of those denominators, divided
 once; a :class:`FunctionMatrix` keeps integer cells over one denominator.
+Sums and rational multiples of function matrices, and the function matrix of a
+formal sum, add such cells in one loop, :func:`_sum_cells`.
 ``Fraction`` is the type every public function returns. The reference
 :func:`coefficient` multiplies the binding's ``Fraction`` word products, so it
 checks the integer route rather than sharing it. :func:`enumerate_colorings`
@@ -94,9 +98,10 @@ class FunctionMatrix:
     permutation diagram on k strands has n^k nonzero entries out of n^(2k).
     ``den`` is positive and has no common factor with all the cells, so
     equal functions have equal fields and ``==`` and the hash compare values.
-    ``entry``, ``column``, ``scalar``, ``entries`` and :meth:`as_matrix` give
-    ``Fraction`` values; the dense ``n^out x n^in`` form is built on first
-    use and kept.
+    ``entry``, ``column``, ``scalar`` and ``entries`` give ``Fraction``
+    values; ``entries``, the dense ``n^out x n^in`` form, is built on first
+    use and kept. ``+`` and scaling by a rational go through one cell-sum
+    loop, :func:`_sum_cells`.
     """
 
     n: int
@@ -141,32 +146,39 @@ class FunctionMatrix:
             raise FramingError("scalar() needs a 0-in/0-out matrix")
         return Fraction(self.cells.get(0, 0), self.den)
 
-    def as_matrix(self) -> matrices.Matrix:
-        return self.entries
-
     def __add__(self, other: "FunctionMatrix") -> "FunctionMatrix":
-        if (self.n, self.input_arity, self.output_arity) != (
-            other.n,
-            other.input_arity,
-            other.output_arity,
-        ):
-            raise FramingError("function matrices have different shapes")
-        den = lcm(self.den, other.den)
-        ka, kb = den // self.den, den // other.den
-        cells = {idx: ka * x for idx, x in self.cells.items()}
-        for idx, x in other.cells.items():
-            total = cells.pop(idx, 0) + kb * x
-            if total:
-                cells[idx] = total
-        return FunctionMatrix(self.n, self.input_arity, self.output_arity, cells, den)
+        return _sum_cells(((1, self), (1, other)))
 
     def __rmul__(self, c) -> "FunctionMatrix":
-        c = matrices._exact(c)
-        k = c.numerator
-        cells = {idx: k * x for idx, x in self.cells.items()} if k else {}
-        return FunctionMatrix(
-            self.n, self.input_arity, self.output_arity, cells, c.denominator * self.den
-        )
+        return _sum_cells(((matrices._exact(c), self),))
+
+
+def _sum_cells(terms) -> FunctionMatrix:
+    """The sum of ``c * fm`` over ``(c, fm)`` pairs of rationals and function
+    matrices of one shape.
+
+    The integer cells are added into one map over a common denominator, which
+    grows to take in each term's; cells that cancel are dropped.
+    """
+    shape = None
+    total: dict[int, int] = {}
+    den = 1
+    for c, fm in terms:
+        if shape is None:
+            shape = (fm.n, fm.input_arity, fm.output_arity)
+        elif (fm.n, fm.input_arity, fm.output_arity) != shape:
+            raise FramingError("function matrices have different shapes")
+        term_den = c.denominator * fm.den
+        if den % term_den:
+            grow = lcm(den, term_den) // den
+            total = {idx: grow * x for idx, x in total.items()}
+            den *= grow
+        k = c.numerator * (den // term_den)
+        for idx, x in fm.cells.items():
+            if k != 1:
+                x *= k
+            total[idx] = total[idx] + x if idx in total else x
+    return FunctionMatrix(*shape, {idx: x for idx, x in total.items() if x}, den)
 
 
 def _check_dimension(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> None:
@@ -316,17 +328,11 @@ class _Prepared:
     denominators times ``reading_sign``, is the one divisor of its result.
     """
 
-    def __init__(
-        self,
-        diagram: TraceDiagram,
-        binding: Optional[MatrixBinding],
-        prune_zeros: bool,
-    ):
+    def __init__(self, diagram: TraceDiagram, binding: Optional[MatrixBinding]):
         self.shape = shape = _shape(diagram)
         _check_dimension(diagram, binding)
         if shape.labels and binding is None:
             raise UnboundLabelError(shape.labels[0])
-        self.prune = prune_zeros
         self.eff: dict[str, list[list[int]]] = {}
         self.end_vector: dict[tuple[str, str], list[int]] = {}
         den = shape.reading_sign
@@ -380,7 +386,8 @@ class _Prepared:
         state increment, sign-parity mask, coefficient, -coefficient).
 
         Pairs with the same effect on the state merge into one move with the
-        summed coefficient; a pinned end offers only its pinned label.
+        summed coefficient, and a move whose coefficient is zero is dropped;
+        a pinned end offers only its pinned label.
         """
         n = self.shape.n
         eid, tied, ((hkey, hslot), (tkey, tslot)) = edge
@@ -421,11 +428,7 @@ class _Prepared:
             else:
                 merged[move] = c
         # a move whose parity mask is empty never flips its sign
-        return [
-            (*move, c, -c if move[2] else c)
-            for move, c in merged.items()
-            if c or not self.prune
-        ]
+        return [(*move, c, -c if move[2] else c) for move, c in merged.items() if c]
 
 
 def enumerate_colorings(
@@ -478,10 +481,9 @@ def weight(
     diagram: TraceDiagram,
     leaf_coloring: LeafColoring,
     binding: Optional[MatrixBinding] = None,
-    prune_zeros: bool = True,
 ) -> Fraction:
     """Signed sum of coefficients over all colorings extending a total leaf coloring."""
-    prep = _Prepared(diagram, binding, prune_zeros)
+    prep = _Prepared(diagram, binding)
     open_end = prep.shape.open_end
     if set(leaf_coloring) != set(open_end):
         raise LeafColoringError(
@@ -493,16 +495,14 @@ def weight(
 
 
 def evaluate_closed(
-    diagram: TraceDiagram,
-    binding: Optional[MatrixBinding] = None,
-    prune_zeros: bool = True,
+    diagram: TraceDiagram, binding: Optional[MatrixBinding] = None
 ) -> Fraction:
     """Value of a diagram with no open leaves: the full signed coloring sum."""
     if diagram.open_leaves():
         raise FramingError(
             f"not closed: open leaves {', '.join(diagram.open_leaves())}"
         )
-    return weight(diagram, {}, binding, prune_zeros)
+    return weight(diagram, {}, binding)
 
 
 def evaluate_fast_closed(
@@ -530,9 +530,7 @@ def evaluate_fast_closed(
 
 
 def function_matrix(
-    diagram: TraceDiagram,
-    binding: Optional[MatrixBinding] = None,
-    prune_zeros: bool = True,
+    diagram: TraceDiagram, binding: Optional[MatrixBinding] = None
 ) -> FunctionMatrix:
     """Matrix of the diagram's multilinear function in the standard tensor basis.
 
@@ -541,7 +539,7 @@ def function_matrix(
     """
     if not diagram.framed:
         raise FramingError("function matrix needs a framed diagram")
-    prep = _Prepared(diagram, binding, prune_zeros)
+    prep = _Prepared(diagram, binding)
     n = diagram.n
     in_ends = [prep.shape.open_end[vid] for vid in diagram.inputs]
     out_ends = [prep.shape.open_end[vid] for vid in diagram.outputs]

@@ -12,6 +12,11 @@ holds its diagrams and formal sums and the verdicts of its checks that take no
 binding; each trial adds those verdicts' problems to its own record, in the
 order the checks run. ``binor`` takes no binding: trial 0 recomputes every
 entry through per-basis weights, later trials repeat the fixture's verdict.
+The ``polarization`` fixture is the multi-label diagram sum, built once and
+split into its summand classes, each with its signed count; a trial evaluates
+every term once, class by class, and takes the whole sum as the sum of the
+class matrices. At n=2, ``ch`` and ``ch-general`` read their six summands
+from their fixture's sum.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from math import factorial, lcm
 from random import Random
 from typing import Callable, Optional
 
-from . import builders, matrices, perms
+from . import builders, matrices
 from .algebra import (
     is_relation,
     reframe,
@@ -97,11 +102,6 @@ def random_skew_matrix(rng: Random, n: int) -> matrices.Matrix:
 
 # ---------------------------------------------------------------------------
 # Characteristic polynomial, two routes
-
-
-def charpoly_oracle(a: matrices.Matrix) -> tuple[Fraction, ...]:
-    """Coefficients of det(A - x*I) by the Faddeev-LeVerrier recurrence."""
-    return matrices.charpoly_fl(a)
 
 
 def charpoly_diagrammatic(a: matrices.Matrix) -> tuple[Fraction, ...]:
@@ -240,17 +240,6 @@ def _poly_at(coeffs, m: matrices.Matrix) -> matrices.Matrix:
     return matrices._rational(*_poly_lattice(coeffs, *matrices._lattice(m)))
 
 
-def _closure_classes(n: int):
-    """Group the n+1-strand permutations by (open path length, loop cycle type)."""
-    classes: dict[tuple, list[tuple[int, ...]]] = {}
-    for img in permutations(range(1, n + 2)):
-        cycs = perms.cycles(img)
-        open_len = next(len(c) for c in cycs if 1 in c)
-        lam = tuple(sorted(len(c) for c in cycs if 1 not in c))
-        classes.setdefault((open_len - 1, lam), []).append(img)
-    return classes
-
-
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -313,9 +302,12 @@ def _labels(n: int) -> list[str]:
     return [f"A{i}" for i in range(1, n + 1)]
 
 
-def _six_summand_problems(binding: MatrixBinding, a1: str, a2: str) -> list[str]:
-    """At n=2 each of the six summands of the two-label diagram sum carries
-    its classical 2x2 matrix."""
+def _six_summand_problems(
+    binding: MatrixBinding, total: FormalSum, a1: str, a2: str
+) -> list[str]:
+    """At n=2 each of the six summands of ``total``, the two-label diagram sum
+    ``builders.ch_diagram(2, [a1, a2])``, carries its classical 2x2 matrix; its
+    terms follow the permutations in lexicographic order, as below."""
     m1, m2 = binding.matrix(a1), binding.matrix(a2)
     i2 = matrices.identity(2)
     t1, t2 = matrices.mtrace(m1), matrices.mtrace(m2)
@@ -328,9 +320,8 @@ def _six_summand_problems(binding: MatrixBinding, a1: str, a2: str) -> list[str]
         (3, 2, 1): matrices.mscale(t1, m2),
     }
     problems = []
-    for img, want in expected.items():
-        term = builders.closure_diagram(2, img, {2: a1, 3: a2}, open_strand=1)
-        if not matrices.matrices_equal(function_matrix(term, binding).as_matrix(), want):
+    for (img, want), (_, term) in zip(expected.items(), total.terms):
+        if not matrices.matrices_equal(function_matrix(term, binding).entries, want):
             problems.append(f"summand {img} has the wrong matrix")
     return problems
 
@@ -366,19 +357,19 @@ def _check_cayley_hamilton(n: int, rng: Random, trial: int, fix) -> dict:
     rhs = _poly_at(coeffs, a)
     problems += [
         f"strand coefficient {i} != n! * c_{i}"
-        for i, (coeff, c) in enumerate(zip(coeffs, charpoly_oracle(a)))
+        for i, (coeff, c) in enumerate(zip(coeffs, matrices.charpoly_fl(a)))
         if coeff != factorial(n) * c
     ]
-    if not matrices.matrices_equal(fm.as_matrix(), rhs):
+    if not matrices.matrices_equal(fm.entries, rhs):
         problems.append("cycle decomposition disagrees with the diagram sum")
     if not matrices.is_zero_matrix(rhs):
         problems.append("n! * sum c_i A^i is not zero")
 
     if n == 2:
         # the regrouped sum is 2(A^2 - tr(A)A + det(A)I)
-        problems += _six_summand_problems(binding, "A", "A")
+        problems += _six_summand_problems(binding, total, "A", "A")
         regrouped = _poly_at((matrices.bareiss_det(a), -matrices.mtrace(a), 1), a)
-        if not matrices.matrices_equal(fm.as_matrix(), matrices.mscale(2, regrouped)):
+        if not matrices.matrices_equal(fm.entries, matrices.mscale(2, regrouped)):
             problems.append("diagram sum != 2(A^2 - tr(A)A + det(A)I)")
     return _verdict(problems)
 
@@ -388,7 +379,7 @@ def _check_generalized_ch(n: int, rng: Random, trial: int, fix) -> dict:
     fm = sum_function_matrix(fix, binding)
     problems = [] if fm.is_zero() else ["diagram sum is not the zero matrix"]
     if n == 2:
-        problems += _six_summand_problems(binding, "A1", "A2")
+        problems += _six_summand_problems(binding, fix, "A1", "A2")
     return _verdict(problems)
 
 
@@ -437,7 +428,7 @@ def _check_det_sum(n: int, rng: Random, trial: int, fix) -> dict:
 def _check_charpoly(n: int, rng: Random, trial: int, fix) -> dict:
     a = random_int_matrix(rng, n)
     got = _charpoly_from(fix, a)
-    want = charpoly_oracle(a)
+    want = matrices.charpoly_fl(a)
     return _verdict([] if got == want else [f"diagram {got} vs oracle {want}"])
 
 
@@ -522,7 +513,7 @@ def symmetrizer_sum_check(k: int, n: int, binding: MatrixBinding, label: str = "
 def _cycle_sum_holds(
     k: int, total: FormalSum, loops, binding: MatrixBinding, label: str = "A"
 ) -> bool:
-    lhs = sum_function_matrix(total, binding).as_matrix()
+    lhs = sum_function_matrix(total, binding).entries
     rhs = _poly_at(_cycle_coefficients(k, loops, binding), binding.matrix(label))
     return matrices.matrices_equal(lhs, rhs)
 
@@ -538,7 +529,12 @@ def _check_symmetrizer_sum(n: int, rng: Random, trial: int, fix) -> dict:
     return _verdict([f"fails for k in {bad}"] if bad else [])
 
 
+def _fricke_fixture(n: int):
+    return builders.fricke_sum("A", "B", "C"), builders.fricke_traced_sum("A", "B", "C")
+
+
 def _check_fricke(n: int, rng: Random, trial: int, fix) -> dict:
+    open_sum, traced_sum = fix
     a, b, c = (random_rational_matrix(rng, 2) for _ in range(3))
     binding = MatrixBinding(2, {"A": a, "B": b, "C": c})
 
@@ -548,8 +544,8 @@ def _check_fricke(n: int, rng: Random, trial: int, fix) -> dict:
     classical = tr(a, b, c) + tr(a, c, b) == (
         tr(a, b) * tr(c) + tr(a) * tr(b, c) + tr(b) * tr(c, a) - tr(a) * tr(b) * tr(c)
     )
-    open_rel = is_relation(builders.fricke_sum("A", "B", "C"), binding)
-    traced = sum_closed_value(builders.fricke_traced_sum("A", "B", "C"), binding)
+    open_rel = is_relation(open_sum, binding)
+    traced = sum_closed_value(traced_sum, binding)
     problems = []
     if not classical:
         problems.append("classical trace identity failed")
@@ -560,13 +556,22 @@ def _check_fricke(n: int, rng: Random, trial: int, fix) -> dict:
     return _verdict(problems)
 
 
+def _vector_fixture(n: int):
+    return (
+        builders.cross_product_diagram("u", "v"),
+        builders.dot_product_diagram("u", "v"),
+        builders.cross_dot_closed("u", "v", "w", "x"),
+    )
+
+
 def _check_vector(n: int, rng: Random, trial: int, fix) -> dict:
+    cross_diagram, dot_diagram, quad_diagram = fix
     vecs = {lab: random_rational_vector(rng, 3) for lab in ("u", "v", "w", "x")}
     u, v, w, x = vecs.values()
     binding = MatrixBinding(3, vectors=vecs)
 
     def cross(b):
-        fm = function_matrix(builders.cross_product_diagram("u", "v"), b)
+        fm = function_matrix(cross_diagram, b)
         return tuple(row[0] for row in fm.entries)
 
     problems = []
@@ -574,11 +579,11 @@ def _check_vector(n: int, rng: Random, trial: int, fix) -> dict:
         problems.append("cross product disagrees with the classical formula")
     if any(cross(MatrixBinding(3, vectors={"u": u, "v": u}))):
         problems.append("u x u is not zero")
-    dot = evaluate_closed(builders.dot_product_diagram("u", "v"), binding)
+    dot = evaluate_closed(dot_diagram, binding)
     if dot != matrices.vec_dot(u, v):
         problems.append("dot product disagrees with the classical formula")
 
-    quad = evaluate_closed(builders.cross_dot_closed("u", "v", "w", "x"), binding)
+    quad = evaluate_closed(quad_diagram, binding)
     classical = matrices.vec_dot(u, w) * matrices.vec_dot(v, x) - matrices.vec_dot(
         u, x
     ) * matrices.vec_dot(v, w)
@@ -735,37 +740,39 @@ def _check_functoriality(n: int, rng: Random, trial: int, fix) -> dict:
 
 
 def _polarization_fixture(n: int):
-    """Per summand class (i, cycle type), its signed count and diagram sum,
-    in sorted class order; and the whole multi-label diagram sum."""
-    labels = _labels(n)
-    closure = {j: labels[j - 2] for j in range(2, n + 2)}
-    classes = []
-    for (i, lam), members in sorted(_closure_classes(n).items()):
-        terms = [
-            (perms.sign(img), builders.closure_diagram(n, img, closure, open_strand=1))
-            for img in members
-        ]
-        classes.append((i, lam, len(members) * terms[0][0], FormalSum.of(*terms)))
-    return classes, builders.ch_diagram(n, labels)
+    """The terms of the multi-label diagram sum grouped by summand class
+    (i, cycle type), in sorted class order, each with its signed count (the sum
+    of its coefficients) and its diagram sum. A term's class is read off its
+    words: i letters on the open strand, one loop per further cycle."""
+    classes: dict[tuple, list] = {}
+    for c, d in builders.ch_diagram(n, _labels(n)).terms:
+        strand, *loops = d.edges  # closure_diagram puts the open strand first
+        lam = tuple(sorted(len(e.marking) for e in loops))
+        classes.setdefault((len(strand.marking), lam), []).append((c, d))
+    return [
+        (i, lam, sum(c for c, _ in terms), FormalSum(tuple(terms)))
+        for (i, lam), terms in sorted(classes.items())
+    ]
 
 
 def _check_polarization(n: int, rng: Random, trial: int, fix) -> dict:
-    classes, total = fix
     labels = _labels(n)
     mats = [random_int_matrix(rng, n, -5, 5) for _ in labels]
     binding = MatrixBinding(n, dict(zip(labels, mats)))
     problems = []
-    for i, lam, count, sub in classes:
-        got = sum_function_matrix(sub, binding).as_matrix()
+    total = None  # the whole diagram sum, as the sum of the class matrices
+    for i, lam, count, sub in fix:
+        fm = sum_function_matrix(sub, binding)
+        total = fm if total is None else total + fm
         pol = matrices._rational(*_polar_lattice(_monomial_fn(i, lam), n, mats))
         want = matrices.mscale(count, pol)
-        if not matrices.matrices_equal(got, want):
+        if not matrices.matrices_equal(fm.entries, want):
             problems.append(f"class (i={i}, cycles={lam}) mismatch")
 
-    full = sum_function_matrix(total, binding).as_matrix()
+    full = total.entries
 
     def tau(rows, den):  # p_x(x): homogeneous of degree n in x, zero by Cayley-Hamilton
-        return _poly_lattice(charpoly_oracle(matrices._rational(rows, den)), rows, den)
+        return _poly_lattice(matrices.charpoly_fl(matrices._rational(rows, den)), rows, den)
 
     pol_full = matrices.mscale(factorial(n), matrices._rational(*_polar_lattice(tau, n, mats)))
     if not matrices.matrices_equal(full, pol_full):
@@ -835,8 +842,8 @@ CATALOGUE: dict[str, Identity] = {
     "charpoly": Identity(_check_charpoly, 2, (1, 2, 3, 4), fixture=_charpoly_diagrams),
     "antisym-two-node": Identity(_check_antisym_two_node, 2, (1, 2, 3), fixture=_antisym_fixture),
     "symmetrizer-sum": Identity(_check_symmetrizer_sum, 2, (1, 2, 3), fixture=_symmetrizer_fixture),
-    "fricke": Identity(_check_fricke, 2, (2,)),
-    "vector": Identity(_check_vector, 3, (3,)),
+    "fricke": Identity(_check_fricke, 2, (2,), fixture=_fricke_fixture),
+    "vector": Identity(_check_vector, 3, (3,), fixture=_vector_fixture),
     "framing-independence": Identity(
         _check_framing_independence, 3, (3,), fixture=_framing_fixture
     ),
@@ -917,6 +924,8 @@ def run_identity(
         raise TraceDiagramError(
             f"identity {identity!r} supports dimensions {entry.dims}, got {n}"
         )
+    if n < 1:
+        raise TraceDiagramError(f"dimension must be >= 1, got {n}")
     if trials < 1 or jobs < 1:
         raise TraceDiagramError(
             f"trials and jobs must be at least 1, got trials={trials}, jobs={jobs}"

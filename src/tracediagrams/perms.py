@@ -18,20 +18,3 @@ def compose(p, q) -> tuple[int, ...]:
     """(p . q)(i) = p(q(i)) for image tuples p, q."""
     return tuple(p[q[i - 1] - 1] for i in range(1, len(p) + 1))
 
-
-def cycles(images) -> list[tuple[int, ...]]:
-    """Cycle decomposition, each cycle starting at its smallest element."""
-    seen = set()
-    out = []
-    for start in range(1, len(images) + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = images[start - 1]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = images[nxt - 1]
-        out.append(tuple(cyc))
-    return out

@@ -155,7 +155,7 @@ def test_ch_diagram_six_summands_2x2():
     total = mx.zeros(2, 2)
     for img in permutations((1, 2, 3)):
         term = builders.closure_diagram(2, img, closure, open_strand=1)
-        got = function_matrix(term, b).as_matrix()
+        got = function_matrix(term, b).entries
         assert got == expected[img]
         total = mx.madd(total, mx.mscale(perms.sign(img), got))
     assert mx.is_zero_matrix(total)

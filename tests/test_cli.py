@@ -126,6 +126,22 @@ def test_empty_trial_runs_exit_2(args, capsys):
     assert "proven-exact-on-samples" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["polarize", "--dim", "-1"],
+        ["polarize", "--dim", "0"],
+        ["pfaffian", "--dim", "-2"],
+        ["pfaffian", "--dim", "0"],
+    ],
+)
+def test_non_positive_dimensions_exit_2(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"dimension must be >= 1, got {args[2]}\n"
+    assert captured.out == ""
+
+
 def test_verify_jobs_do_not_change_output(capsys):
     args = ["verify", "det-diagram", "--dim", "2", "--trials", "4", "--seed", "1",
             "--format", "records"]

@@ -247,6 +247,22 @@ def test_relation_file_with_import(tmp_path):
     assert is_relation(rel).holds
 
 
+@pytest.mark.parametrize(
+    "files, name",
+    [
+        ({}, "missing.trel"),
+        ({"rel.trel": b"use missing.tdg\n1 * builtin:id(1) @ dim 2\n"}, "rel.trel"),
+        ({"rel.trel": b"\xff\xfe1 * builtin:id(1) @ dim 2\n"}, "rel.trel"),
+    ],
+    ids=["missing-relation-file", "missing-use-target", "not-utf8"],
+)
+def test_unreadable_relation_files_raise_typed_errors(tmp_path, files, name):
+    for file, data in files.items():
+        (tmp_path / file).write_bytes(data)
+    with pytest.raises(TraceDiagramError, match="cannot read"):
+        parse_relation_file(tmp_path / name)
+
+
 # Statements and tokens of all three formats, so generated documents get past
 # the first line; numbers stay small so that no builtin builds a large diagram.
 _TOKENS = [

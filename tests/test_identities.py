@@ -3,6 +3,8 @@
 import hashlib
 import json
 from fractions import Fraction
+from functools import reduce
+from itertools import permutations
 from math import factorial
 from random import Random
 
@@ -13,6 +15,8 @@ from tracediagrams import (
     MatrixBinding,
     TraceDiagramError,
     builders,
+    perms,
+    sum_function_matrix,
     validate,
 )
 from tracediagrams import identities
@@ -20,7 +24,6 @@ from tracediagrams import matrices as mx
 from tracediagrams.identities import (
     VerificationReport,
     charpoly_diagrammatic,
-    charpoly_oracle,
     det_sum_check,
     marked_exchange_check,
     multiplicity_ratio_check,
@@ -37,7 +40,7 @@ from tracediagrams.identities import (
 def test_charpoly_diagrammatic_known_matrix():
     cs = charpoly_diagrammatic([[1, 2], [3, 4]])
     assert cs == (Fraction(-2), Fraction(-5), Fraction(1))
-    assert cs == charpoly_oracle(mx.freeze_matrix([[1, 2], [3, 4]]))
+    assert cs == mx.charpoly_fl(mx.freeze_matrix([[1, 2], [3, 4]]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -45,7 +48,7 @@ def test_charpoly_routes_agree(n):
     rng = Random(f"cp{n}")
     for _ in range(3):
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert charpoly_diagrammatic(a) == charpoly_oracle(mx.freeze_matrix(a))
+        assert charpoly_diagrammatic(a) == mx.charpoly_fl(mx.freeze_matrix(a))
 
 
 @pytest.mark.parametrize(
@@ -103,6 +106,8 @@ def test_parallel_trials_match_serial():
         ("binor", 3),
         ("ch", 3),
         ("symmetrizer-sum", 3),
+        ("fricke", 2),
+        ("vector", 3),
     ]:
         pairs.append(
             (
@@ -237,9 +242,7 @@ def test_symmetrizer_sum_small_cases():
     assert symmetrizer_sum_check(0, 2, b)
     assert symmetrizer_sum_check(1, 2, b)
     # k = 1 reads tr(A) I - A on both sides
-    from tracediagrams.algebra import sum_function_matrix
-
-    lhs = sum_function_matrix(builders.ch_diagram(2, ["A"]), b).as_matrix()
+    lhs = sum_function_matrix(builders.ch_diagram(2, ["A"]), b).entries
     want = mx.madd(mx.mscale(mx.mtrace(a), mx.identity(2)), mx.mscale(-1, a))
     assert lhs == want
 
@@ -258,8 +261,6 @@ def test_marked_exchange_invariance():
 
 def test_generalized_sum_specializes_to_single_matrix():
     # binding every label to the same matrix reproduces the one-matrix sum
-    from tracediagrams.algebra import sum_function_matrix
-
     rng = Random("same")
     for n in (2, 3):
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
@@ -347,6 +348,44 @@ def test_polarization_check_passes(n):
     report = polarization_check(n, trials=2, seed="unit")
     assert report.ok
     assert report.data["constant"] == factorial(n)
+
+
+def _cycle_lengths(img):
+    """Cycle lengths of a permutation of 1..k given by its images, the cycle
+    through 1 first."""
+    seen, out = set(), []
+    for start in range(1, len(img) + 1):
+        length, cur = 0, start
+        while cur not in seen:
+            seen.add(cur)
+            cur = img[cur - 1]
+            length += 1
+        if length:
+            out.append(length)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_polarization_classes_match_a_cycle_count(n):
+    # the cycle through strand 1 leaves an open strand with one letter fewer
+    # than its length; every other cycle closes into a loop
+    want = {}
+    for img in permutations(range(1, n + 2)):
+        first, *rest = _cycle_lengths(img)
+        key = (first - 1, tuple(sorted(rest)))
+        want[key] = want.get(key, 0) + perms.sign(img)
+    fix = identities._polarization_fixture(n)
+    assert [(i, lam, count) for i, lam, count, _ in fix] == sorted(
+        (i, lam, count) for (i, lam), count in want.items()
+    )
+    assert sum(len(sub.terms) for *_, sub in fix) == factorial(n + 1)
+
+    labels = [f"A{i}" for i in range(1, n + 1)]
+    rng = trial_rng("classes", n)
+    b = MatrixBinding(n, {lab: identities.random_int_matrix(rng, n) for lab in labels})
+    parts = [sum_function_matrix(sub, b).entries for *_, sub in fix]
+    whole = sum_function_matrix(builders.ch_diagram(n, labels), b).entries
+    assert reduce(mx.madd, parts) == whole
 
 
 def test_pfaffian_scan_consistent():
