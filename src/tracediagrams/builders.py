@@ -33,8 +33,14 @@ from .diagram import (
 from .errors import DimensionMismatchError, DiagramStructureError
 
 
+def _check_strand_count(k: int) -> None:
+    if k < 0:
+        raise DiagramStructureError(f"strand count must be >= 0, got {k}")
+
+
 def identity_strands(n: int, k: int) -> TraceDiagram:
     """k disjoint unmarked strands, input i wired straight to output i."""
+    _check_strand_count(k)
     return permutation_diagram(n, tuple(range(1, k + 1)))
 
 
@@ -79,6 +85,7 @@ def trace_loop(n: int, word) -> TraceDiagram:
 
 def antisymmetrizer(n: int, k: int) -> FormalSum:
     """Signed sum over all wire permutations of k strands."""
+    _check_strand_count(k)
     terms = [
         (Fraction(perms.sign(img)), permutation_diagram(n, img))
         for img in permutations(range(1, k + 1))

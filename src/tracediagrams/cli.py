@@ -11,7 +11,7 @@ import sys
 
 from . import matrices
 from .algebra import sum_closed_value, sum_function_matrix
-from .diagram import TraceDiagram, validate
+from .diagram import TraceDiagram, _validation
 from .dsl import _read_text, parse_diagram_set, parse_matrix_file
 from .engine import evaluate_closed, function_matrix
 from .errors import DslSyntaxError, TraceDiagramError
@@ -54,7 +54,7 @@ def _cmd_eval(args) -> int:
         binding = parse_matrix_file(_read_text(args.bind))
 
     if isinstance(entity, TraceDiagram):
-        result = validate(entity)
+        result = _validation(entity)
         if not result.ok:
             for v in result.violations:
                 print(f"invalid diagram: {v}", file=sys.stderr)

@@ -207,6 +207,19 @@ def validate(diagram: TraceDiagram) -> ValidationResult:
     return ValidationResult(tuple(bad))
 
 
+def _validation(diagram: TraceDiagram) -> ValidationResult:
+    """:func:`validate`'s result, kept on the diagram after the first call.
+
+    Diagrams are immutable, so it stays valid; the engine's shape, the strand
+    key of formal-sum evaluation and the CLI all read this one result.
+    """
+    result = diagram.__dict__.get("_validation")
+    if result is None:
+        result = validate(diagram)
+        object.__setattr__(diagram, "_validation", result)
+    return result
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Head/tail labels for every edge, keyed by edge id, sorted for determinism."""
@@ -249,7 +262,12 @@ def vertex_permutation(
 
 @dataclass(frozen=True)
 class FormalSum:
-    """Rational linear combination of diagrams; terms stay unmerged."""
+    """Rational linear combination of diagrams.
+
+    ``terms`` stay as built. Evaluation (``algebra.sum_function_matrix``,
+    ``algebra.sum_closed_value``) merges terms that are equal vertex-free
+    diagrams up to edge order and loop rotation, and evaluates each class once.
+    """
 
     terms: tuple[tuple[Fraction, TraceDiagram], ...]
 

@@ -10,8 +10,11 @@ Only the matrices change between trials. An identity's fixture, built from the
 dimension alone once per run (once per worker process with ``jobs > 1``),
 holds its diagrams and formal sums and the verdicts of its checks that take no
 binding; each trial adds those verdicts' problems to its own record, in the
-order the checks run. ``binor`` takes no binding: trial 0 recomputes every
-entry through per-basis weights, later trials repeat the fixture's verdict.
+order the checks run. ``antisym-two-node`` also keeps the enumerator walk of
+its marked exchange check (colorings, signatures and the index of each
+coloring's images), so a trial computes only each coloring's coefficient.
+``binor`` takes no binding: trial 0 recomputes every entry through per-basis
+weights, later trials repeat the fixture's verdict.
 The ``polarization`` fixture is the multi-label diagram sum, built once and
 split into its summand classes, each with its signed count; a trial evaluates
 every term once, class by class, and takes the whole sum as the sum of the
@@ -454,27 +457,43 @@ def marked_exchange_check(n: int, k: int, binding: MatrixBinding, label: str = "
     """Permuting (head, tail) pairs among identically marked shared edges fixes
     the contribution of every coloring: the signs at the two vertices change
     together and the multiset of selected entries is unchanged."""
+    return _exchange_holds(_exchange_walk(n, k, label), binding)
+
+
+def _exchange_walk(n: int, k: int, label: str = "A"):
+    """The binding-free part of :func:`marked_exchange_check`: the diagram, its
+    colorings from the enumerator with their signatures, and per coloring the
+    stream index of its image under each permutation of the shared edges
+    (``None`` where the image is missing from the stream)."""
     d = builders.two_node_pair(n, k, ((label,),) * (n - k))
     shared = [f"s{j}" for j in range(1, n - k + 1)]
-    # each coloring's contribution once; every image under a permutation of
-    # the shared edges is admissible too, so it must be in the map, equal
-    value = {
-        col: signature(d, col) * coefficient(d, col, binding) for col in enumerate_colorings(d)
-    }
-    for col, base in value.items():
+    colorings = list(enumerate_colorings(d))
+    index = {col: i for i, col in enumerate(colorings)}
+    images = []
+    for col in colorings:
         pairs = col.as_dict()
+        row = []
         for rho in permutations(shared):
             permuted = dict(pairs)
             for src, dst in zip(shared, rho):
                 permuted[dst] = pairs[src]
-            if value.get(Coloring.from_dict(permuted)) != base:
-                return False
-    return True
+            row.append(index.get(Coloring.from_dict(permuted)))
+        images.append(row)
+    return d, colorings, [signature(d, col) for col in colorings], images
 
 
-def _antisym_fixture(n: int) -> list[list[str]]:
-    """Per k, the problems of the binding-free checks: the two-vertex expansion
-    and the shared-edge multiplicity."""
+def _exchange_holds(walk, binding: MatrixBinding) -> bool:
+    """Every coloring's contribution, computed once, equals that of each of its
+    images; a missing image fails."""
+    d, colorings, signs, images = walk
+    value = [s * coefficient(d, col, binding) for s, col in zip(signs, colorings)]
+    return all(j is not None and value[j] == v for v, row in zip(value, images) for j in row)
+
+
+def _antisym_fixture(n: int) -> list[tuple[list[str], object]]:
+    """Per k, the problems of the binding-free checks (the two-vertex expansion
+    and the shared-edge multiplicity) and, for k < n, the binding-free walk of
+    the marked exchange check."""
     out = []
     for k in range(n + 1):
         problems = []
@@ -485,17 +504,17 @@ def _antisym_fixture(n: int) -> list[list[str]]:
             problems.append(f"two-vertex expansion fails at k={k}")
         if k < n and not multiplicity_ratio_check(n, k):
             problems.append(f"shared-edge multiplicity fails at k={k}")
-        out.append(problems)
+        out.append((problems, _exchange_walk(n, k) if k < n else None))
     return out
 
 
 def _check_antisym_two_node(n: int, rng: Random, trial: int, fix) -> dict:
     problems = []
-    for k, fixed in enumerate(fix):
+    for k, (fixed, walk) in enumerate(fix):
         problems += fixed
-        if k < n:
+        if walk is not None:
             binding = MatrixBinding(n, {"A": random_int_matrix(rng, n)})
-            if not marked_exchange_check(n, k, binding):
+            if not _exchange_holds(walk, binding):
                 problems.append(f"marked exchange invariance fails at k={k}")
     return _verdict(problems)
 
@@ -828,7 +847,7 @@ class Identity:
 
 
 CATALOGUE: dict[str, Identity] = {
-    "ch": Identity(_check_cayley_hamilton, 2, (1, 2, 3), fixture=_ch_fixture),
+    "ch": Identity(_check_cayley_hamilton, 2, (1, 2, 3, 4, 5), fixture=_ch_fixture),
     "ch-general": Identity(
         _check_generalized_ch, 2, (1, 2, 3), fixture=lambda n: builders.ch_diagram(n, _labels(n))
     ),
@@ -841,7 +860,9 @@ CATALOGUE: dict[str, Identity] = {
     "det-sum": Identity(_check_det_sum, 2, (1, 2, 3), fixture=_det_sum_terms),
     "charpoly": Identity(_check_charpoly, 2, (1, 2, 3, 4), fixture=_charpoly_diagrams),
     "antisym-two-node": Identity(_check_antisym_two_node, 2, (1, 2, 3), fixture=_antisym_fixture),
-    "symmetrizer-sum": Identity(_check_symmetrizer_sum, 2, (1, 2, 3), fixture=_symmetrizer_fixture),
+    "symmetrizer-sum": Identity(
+        _check_symmetrizer_sum, 2, (1, 2, 3, 4, 5), fixture=_symmetrizer_fixture
+    ),
     "fricke": Identity(_check_fricke, 2, (2,), fixture=_fricke_fixture),
     "vector": Identity(_check_vector, 3, (3,), fixture=_vector_fixture),
     "framing-independence": Identity(

@@ -73,6 +73,15 @@ def test_eval_malformed_builtin_argument_exits_2(tmp_path, capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("builtin", ["antisym(-1)", "id(-2)"])
+def test_eval_negative_strand_count_exits_2(tmp_path, capsys, builtin):
+    tdg = tmp_path / "neg.tdg"
+    tdg.write_text(f"diagram d = builtin:{builtin} @ dim 2\n", encoding="utf-8")
+    assert main(["eval", str(tdg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "strand count must be >= 0" in out.err
+
+
 def test_eval_missing_file(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.tdg")]) == 2
 

@@ -178,11 +178,17 @@ def test_fixture_is_built_once_per_run(monkeypatch):
     assert identities._run_fixtures is None
 
 
+@pytest.mark.parametrize("identity", ["ch", "symmetrizer-sum"])
+def test_raised_dimension_cap_runs(identity):
+    assert max(identities.CATALOGUE[identity].dims) == 5
+    assert run_identity(identity, n=5, trials=2, seed=0).ok
+
+
 def test_binding_free_failure_shows_in_every_trial(monkeypatch):
     # the binding-free multiplicity check runs once per run; its message
     # still comes before each k's per-trial exchange check
     monkeypatch.setattr(identities, "multiplicity_ratio_check", lambda n, k: False)
-    monkeypatch.setattr(identities, "marked_exchange_check", lambda n, k, b: False)
+    monkeypatch.setattr(identities, "_exchange_holds", lambda walk, b: False)
     report = run_identity("antisym-two-node", n=2, trials=3, seed=0)
     assert report.status == "failed"
     want = "; ".join(
