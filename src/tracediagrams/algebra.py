@@ -8,12 +8,10 @@ vertices have degree 1 or n only). A fused wire needs its marked segments to
 run in one direction; gluing two marked segments head-to-head is rejected
 rather than silently transposing anything.
 
-A formal sum is evaluated class by class: terms that are equal vertex-free
-diagrams, up to edge names and order and the rotation of loop words, have one
-strand key, add their coefficients and are evaluated once through the engine.
-The Cayley-Hamilton sums, whose (n+1)! terms fall into a few classes (open
-strand length times cycle type), are the case this serves. A diagram with
-vertices is a class of its own.
+A formal sum is evaluated term by term, each term through the engine. Sums
+whose terms repeat are built with one term per class instead: the
+Cayley-Hamilton sums with equal labels come from ``builders.ch_classes`` and
+``builders.loop_classes``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from .diagram import (
     MatrixBinding,
     TraceDiagram,
     Vertex,
-    _validation,
     other_end,
 )
 from .engine import (
@@ -267,65 +264,11 @@ def reframe_positions(s: DiagramOrSum, input_positions, output_positions) -> For
     return FormalSum(tuple(out_terms))
 
 
-def _strand_key(d: TraceDiagram):
-    """What the function of a valid, framed diagram with no internal vertices
-    depends on; ``None`` for any other diagram. Kept on the diagram after the
-    first call.
-
-    The key is the dimension, the two arities, the sorted strands, each as
-    (head end, tail end, marking word) with an end ``("in", position)``,
-    ``("out", position)`` or ``("vec", label)``, and the sorted loop words, each
-    in its least rotation. Such a diagram's function is the product of its
-    strands' word-product entries and its loops' traces, and a trace is
-    cyclic, so equal keys give equal functions under every binding.
-    """
-    if "_strand_key" in d.__dict__:
-        return d.__dict__["_strand_key"]
-    key = None
-    if d.framed and all(v.kind == LEAF for v in d.vertices) and _validation(d).ok:
-        end = {vid: ("in", i) for i, vid in enumerate(d.inputs)}
-        end.update((vid, ("out", i)) for i, vid in enumerate(d.outputs))
-        end.update(
-            (v.id, ("vec", v.vector_label)) for v in d.vertices if v.vector_label is not None
-        )
-        strands, loops = [], []
-        for e in d.edges:
-            w = e.marking
-            if e.is_free_loop:
-                loops.append(min(w[i:] + w[:i] for i in range(len(w))) if w else w)
-            else:
-                strands.append((end[e.head], end[e.tail], w))
-        strands.sort()
-        loops.sort()
-        key = (d.n, len(d.inputs), len(d.outputs), tuple(strands), tuple(loops))
-    object.__setattr__(d, "_strand_key", key)
-    return key
-
-
-def _merged_terms(s: DiagramOrSum) -> list[list]:
-    """The terms of a nonempty sum as ``[coefficient, diagram]`` classes, in
-    order of first appearance: terms with equal :func:`_strand_key` add their
-    coefficients under the first one's diagram, and a term without a key is a
-    class of its own.
-
-    A class whose coefficients cancel stays, so that evaluating it raises what
-    its terms would (an unbound label, a wrong dimension).
-    """
+def _terms(s: DiagramOrSum):
     terms = _as_sum(s).terms
     if not terms:
         raise FramingError("cannot evaluate an empty formal sum")
-    classes: dict[tuple, list] = {}
-    merged = []
-    for c, d in terms:
-        key = _strand_key(d)
-        if key is None:
-            merged.append([c, d])
-        elif key in classes:
-            classes[key][0] += c
-        else:
-            classes[key] = [c, d]
-            merged.append(classes[key])
-    return merged
+    return terms
 
 
 def sum_function_matrix(
@@ -333,22 +276,18 @@ def sum_function_matrix(
 ) -> FunctionMatrix:
     """Function matrix of a formal sum: the coefficient-weighted sum of term matrices.
 
-    Equal vertex-free terms are merged first (:func:`_merged_terms`), so each
-    class's matrix is built once. The matrices are built one at a time and
-    their integer cells added into one map over a common denominator
-    (:func:`engine._sum_cells`), which grows to take in each term's; cells that
-    cancel are dropped.
+    The matrices are built one at a time and their integer cells added into
+    one map over a common denominator (:func:`engine._sum_cells`), which grows
+    to take in each term's; cells that cancel are dropped.
     """
-    return _sum_cells((c, function_matrix(d, binding)) for c, d in _merged_terms(s))
+    return _sum_cells((c, function_matrix(d, binding)) for c, d in _terms(s))
 
 
 def sum_closed_value(
     s: DiagramOrSum, binding: Optional[MatrixBinding] = None
 ) -> Fraction:
-    """Value of a formal sum of closed diagrams, each merged class evaluated once."""
-    return sum(
-        (c * evaluate_closed(d, binding) for c, d in _merged_terms(s)), Fraction(0)
-    )
+    """Value of a formal sum of closed diagrams."""
+    return sum((c * evaluate_closed(d, binding) for c, d in _terms(s)), Fraction(0))
 
 
 @dataclass(frozen=True)

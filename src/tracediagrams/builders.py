@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from . import perms
 from .diagram import (
@@ -254,6 +255,60 @@ def antisym_closed_loops(n: int, labels) -> FormalSum:
     return FormalSum(tuple(terms))
 
 
+def _partitions(k: int, largest: int | None = None):
+    """The partitions of k, parts at most ``largest``, as non-increasing tuples."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first, *rest)
+
+
+def _cycle_images(lengths) -> tuple[int, ...]:
+    """Images of a permutation with cycles of these lengths on consecutive points."""
+    images: list[int] = []
+    for length in lengths:
+        start = len(images) + 1
+        images += [*range(start + 1, start + length), start]
+    return tuple(images)
+
+
+def _class_coefficient(m: int, lam) -> Fraction:
+    """(-1)^(m - len(lam)) m!/z_lam, z_lam = prod_j j^(m_j) m_j! over the parts j:
+    the signed count of an m-label closure sum's summands with loop type lam."""
+    z = 1
+    for j in set(lam):
+        z *= j ** lam.count(j) * factorial(lam.count(j))
+    return Fraction((-1) ** (m - len(lam)) * factorial(m), z)
+
+
+def ch_classes(n: int, label: str, m: int) -> FormalSum:
+    """:func:`ch_diagram` with m labels all ``label``, one closure diagram per
+    class of equal summands: i letters on the open strand and loops of cycle
+    type lam of m - i."""
+    closure = dict.fromkeys(range(2, m + 2), label)
+    terms = [
+        (
+            _class_coefficient(m, lam),
+            closure_diagram(n, _cycle_images((i + 1, *lam)), closure, open_strand=1),
+        )
+        for i in range(m + 1)
+        for lam in _partitions(m - i)
+    ]
+    return FormalSum(tuple(terms))
+
+
+def loop_classes(n: int, label: str, m: int) -> FormalSum:
+    """:func:`antisym_closed_loops` with m labels all ``label``, one closure
+    diagram per cycle type lam of m, as in :func:`ch_classes`."""
+    closure = dict.fromkeys(range(1, m + 1), label)
+    terms = [
+        (_class_coefficient(m, lam), closure_diagram(n, _cycle_images(lam), closure))
+        for lam in _partitions(m)
+    ]
+    return FormalSum(tuple(terms))
+
+
 def fricke_sum(a_label: str, b_label: str, c_label: str) -> FormalSum:
     """The 2x2 six-summand relation with an open strand marked ``a`` on top and
     loop closures for ``b`` and ``c``."""
@@ -378,7 +433,7 @@ BUILTINS = {
     "detsum": lambda n, i, a, b: det_sum_term(n, int(i), a, b),
     "charcoeff": lambda n, i, label: char_coeff_diagram(n, int(i), label),
     "twonode": lambda n, k: two_node_antisym(n, int(k)),
-    "ch": lambda n, *labels: ch_diagram(n, labels),
+    "ch": lambda n, *labels: _ch_builtin(n, labels),
     "cross": lambda n, u, v: _require_dim(n, 3, cross_product_diagram(u, v)),
     "dot": lambda n, u, v: _require_dim(n, 3, dot_product_diagram(u, v)),
     "crossdot": lambda n, u, v, w, x: _require_dim(n, 3, cross_dot_closed(u, v, w, x)),
@@ -387,6 +442,13 @@ BUILTINS = {
     "fricke": lambda n, a, b, c: _require_dim(n, 2, fricke_sum(a, b, c)),
     "fricke-traced": lambda n, a, b, c: _require_dim(n, 2, fricke_traced_sum(a, b, c)),
 }
+
+
+def _ch_builtin(n: int, labels):
+    # equal labels sum one term per class; any other labels the full expansion
+    if len(set(labels)) == 1:
+        return ch_classes(n, labels[0], len(labels))
+    return ch_diagram(n, labels)
 
 
 def _require_dim(n, expected, built):

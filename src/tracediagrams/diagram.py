@@ -210,8 +210,8 @@ def validate(diagram: TraceDiagram) -> ValidationResult:
 def _validation(diagram: TraceDiagram) -> ValidationResult:
     """:func:`validate`'s result, kept on the diagram after the first call.
 
-    Diagrams are immutable, so it stays valid; the engine's shape, the strand
-    key of formal-sum evaluation and the CLI all read this one result.
+    Diagrams are immutable, so it stays valid; the engine's shape and the CLI
+    both read this one result.
     """
     result = diagram.__dict__.get("_validation")
     if result is None:
@@ -264,9 +264,9 @@ def vertex_permutation(
 class FormalSum:
     """Rational linear combination of diagrams.
 
-    ``terms`` stay as built. Evaluation (``algebra.sum_function_matrix``,
-    ``algebra.sum_closed_value``) merges terms that are equal vertex-free
-    diagrams up to edge order and loop rotation, and evaluates each class once.
+    ``terms`` stay as built; evaluation (``algebra.sum_function_matrix``,
+    ``algebra.sum_closed_value``) takes them one by one, so sums with equal
+    terms are built one term per class (``builders.ch_classes``).
     """
 
     terms: tuple[tuple[Fraction, TraceDiagram], ...]

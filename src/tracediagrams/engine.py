@@ -31,9 +31,7 @@ read from the binding as integer entries over one denominator, so the sum of a
 whole diagram is an integer over the product of those denominators, divided
 once; a :class:`FunctionMatrix` keeps integer cells over one denominator.
 Sums and rational multiples of function matrices, and the function matrix of a
-formal sum, add such cells in one loop, :func:`_sum_cells`; a formal sum reaches
-it with its equal vertex-free terms merged (``algebra.sum_function_matrix``), so
-each class of terms is evaluated here once.
+formal sum, add such cells in one loop, :func:`_sum_cells`.
 ``Fraction`` is the type every public function returns. The reference
 :func:`coefficient` multiplies the binding's ``Fraction`` word products, so it
 checks the integer route rather than sharing it. :func:`enumerate_colorings`
@@ -194,7 +192,7 @@ class _Shape:
     """Validated index of a diagram's edge ends; it does not depend on a binding.
 
     Built once per diagram object by :func:`_shape`, from the validation kept
-    on the diagram, which formal-sum merging may already have made.
+    on the diagram, which the CLI may already have made.
     """
 
     def __init__(self, diagram: TraceDiagram):

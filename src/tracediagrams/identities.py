@@ -18,8 +18,8 @@ weights, later trials repeat the fixture's verdict.
 The ``polarization`` fixture is the multi-label diagram sum, built once and
 split into its summand classes, each with its signed count; a trial evaluates
 every term once, class by class, and takes the whole sum as the sum of the
-class matrices. At n=2, ``ch`` and ``ch-general`` read their six summands
-from their fixture's sum.
+class matrices. ``ch`` and ``symmetrizer-sum`` sum one term per class; at n=2
+``ch`` and ``ch-general`` check and sum the six summands of the full expansion.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .diagram import (
     leaf,
 )
 from .engine import (
+    _sum_cells,
     enumerate_colorings,
     evaluate_closed,
     function_matrix,
@@ -305,12 +306,12 @@ def _labels(n: int) -> list[str]:
     return [f"A{i}" for i in range(1, n + 1)]
 
 
-def _six_summand_problems(
-    binding: MatrixBinding, total: FormalSum, a1: str, a2: str
-) -> list[str]:
-    """At n=2 each of the six summands of ``total``, the two-label diagram sum
-    ``builders.ch_diagram(2, [a1, a2])``, carries its classical 2x2 matrix; its
-    terms follow the permutations in lexicographic order, as below."""
+def _sum_and_summands(n: int, binding: MatrixBinding, total: FormalSum, a1: str, a2: str):
+    """The function matrix of ``total`` and, at n=2, the problems of its six
+    summands, whose matrices it sums: ``total`` is then ``builders.ch_diagram(2,
+    [a1, a2])``, its terms in the lexicographic order of the permutations below."""
+    if n != 2:
+        return sum_function_matrix(total, binding), []
     m1, m2 = binding.matrix(a1), binding.matrix(a2)
     i2 = matrices.identity(2)
     t1, t2 = matrices.mtrace(m1), matrices.mtrace(m2)
@@ -322,16 +323,18 @@ def _six_summand_problems(
         (3, 1, 2): matrices.matmul(m1, m2),
         (3, 2, 1): matrices.mscale(t1, m2),
     }
-    problems = []
-    for (img, want), (_, term) in zip(expected.items(), total.terms):
-        if not matrices.matrices_equal(function_matrix(term, binding).entries, want):
-            problems.append(f"summand {img} has the wrong matrix")
-    return problems
+    fms = [function_matrix(term, binding) for _, term in total.terms]
+    problems = [
+        f"summand {img} has the wrong matrix"
+        for (img, want), fm in zip(expected.items(), fms)
+        if not matrices.matrices_equal(fm.entries, want)
+    ]
+    return _sum_cells((c, fm) for (c, _), fm in zip(total.terms, fms)), problems
 
 
-def _loop_sums(n: int, k: int, label: str = "A") -> list[FormalSum]:
-    """The closed j-loop antisymmetrizers with every loop marked ``label``, j = 0..k."""
-    return [builders.antisym_closed_loops(n, [label] * j) for j in range(k + 1)]
+def _loop_sums(n: int, k: int) -> list[FormalSum]:
+    """The closed j-loop antisymmetrizers marked ``A``, j = 0..k, one term per class."""
+    return [builders.loop_classes(n, "A", j) for j in range(k + 1)]
 
 
 def _cycle_coefficients(k: int, loops: list[FormalSum], binding: MatrixBinding):
@@ -346,14 +349,16 @@ def _cycle_coefficients(k: int, loops: list[FormalSum], binding: MatrixBinding):
 
 
 def _ch_fixture(n: int):
-    return builders.ch_diagram(n, ["A"] * n), _loop_sums(n, n)
+    # at n=2 the check reads the six summands of the full expansion
+    total = builders.ch_diagram(n, ["A"] * n) if n == 2 else builders.ch_classes(n, "A", n)
+    return total, _loop_sums(n, n)
 
 
 def _check_cayley_hamilton(n: int, rng: Random, trial: int, fix) -> dict:
     total, loops = fix
     a = random_int_matrix(rng, n)
     binding = MatrixBinding(n, {"A": a})
-    fm = sum_function_matrix(total, binding)
+    fm, summand_problems = _sum_and_summands(n, binding, total, "A", "A")
     problems = [] if fm.is_zero() else ["diagram sum is not the zero matrix"]
 
     coeffs = _cycle_coefficients(n, loops, binding)
@@ -368,9 +373,9 @@ def _check_cayley_hamilton(n: int, rng: Random, trial: int, fix) -> dict:
     if not matrices.is_zero_matrix(rhs):
         problems.append("n! * sum c_i A^i is not zero")
 
+    problems += summand_problems
     if n == 2:
         # the regrouped sum is 2(A^2 - tr(A)A + det(A)I)
-        problems += _six_summand_problems(binding, total, "A", "A")
         regrouped = _poly_at((matrices.bareiss_det(a), -matrices.mtrace(a), 1), a)
         if not matrices.matrices_equal(fm.entries, matrices.mscale(2, regrouped)):
             problems.append("diagram sum != 2(A^2 - tr(A)A + det(A)I)")
@@ -379,11 +384,9 @@ def _check_cayley_hamilton(n: int, rng: Random, trial: int, fix) -> dict:
 
 def _check_generalized_ch(n: int, rng: Random, trial: int, fix) -> dict:
     binding = MatrixBinding(n, {lab: random_int_matrix(rng, n) for lab in _labels(n)})
-    fm = sum_function_matrix(fix, binding)
+    fm, summand_problems = _sum_and_summands(n, binding, fix, "A1", "A2")
     problems = [] if fm.is_zero() else ["diagram sum is not the zero matrix"]
-    if n == 2:
-        problems += _six_summand_problems(binding, fix, "A1", "A2")
-    return _verdict(problems)
+    return _verdict(problems + summand_problems)
 
 
 def _check_binor(n: int, rng: Random, trial: int, fix) -> dict:
@@ -400,20 +403,18 @@ def _check_det_diagram(n: int, rng: Random, trial: int, fix) -> dict:
     return _verdict([] if got == want else [f"diagram {got} vs oracle {want}"])
 
 
-def _det_sum_terms(n: int, a_label: str = "A", b_label: str = "B") -> list[TraceDiagram]:
-    return [builders.det_sum_term(n, i, a_label, b_label) for i in range(n + 1)]
+def _det_sum_terms(n: int) -> list[TraceDiagram]:
+    return [builders.det_sum_term(n, i, "A", "B") for i in range(n + 1)]
 
 
-def det_sum_check(n: int, binding: MatrixBinding, a_label: str = "A", b_label: str = "B") -> bool:
+def det_sum_check(n: int, binding: MatrixBinding) -> bool:
     """det(A+B) against the split two-vertex diagrams, exactly."""
-    return _det_split_holds(_det_sum_terms(n, a_label, b_label), binding, a_label, b_label)
+    return _det_split_holds(_det_sum_terms(n), binding)
 
 
-def _det_split_holds(terms, binding: MatrixBinding, a_label: str = "A", b_label: str = "B") -> bool:
+def _det_split_holds(terms, binding: MatrixBinding) -> bool:
     n = len(terms) - 1
-    lhs = matrices.bareiss_det(
-        matrices.madd(binding.matrix(a_label), binding.matrix(b_label))
-    )
+    lhs = matrices.bareiss_det(matrices.madd(binding.matrix("A"), binding.matrix("B")))
     total = Fraction(0)
     for i, term in enumerate(terms):
         val = evaluate_closed(term, binding)
@@ -453,19 +454,19 @@ def multiplicity_ratio_check(n: int, k: int) -> bool:
     return True
 
 
-def marked_exchange_check(n: int, k: int, binding: MatrixBinding, label: str = "A") -> bool:
+def marked_exchange_check(n: int, k: int, binding: MatrixBinding) -> bool:
     """Permuting (head, tail) pairs among identically marked shared edges fixes
     the contribution of every coloring: the signs at the two vertices change
     together and the multiset of selected entries is unchanged."""
-    return _exchange_holds(_exchange_walk(n, k, label), binding)
+    return _exchange_holds(_exchange_walk(n, k), binding)
 
 
-def _exchange_walk(n: int, k: int, label: str = "A"):
+def _exchange_walk(n: int, k: int):
     """The binding-free part of :func:`marked_exchange_check`: the diagram, its
     colorings from the enumerator with their signatures, and per coloring the
     stream index of its image under each permutation of the shared edges
     (``None`` where the image is missing from the stream)."""
-    d = builders.two_node_pair(n, k, ((label,),) * (n - k))
+    d = builders.two_node_pair(n, k, (("A",),) * (n - k))
     shared = [f"s{j}" for j in range(1, n - k + 1)]
     colorings = list(enumerate_colorings(d))
     index = {col: i for i, col in enumerate(colorings)}
@@ -519,26 +520,23 @@ def _check_antisym_two_node(n: int, rng: Random, trial: int, fix) -> dict:
     return _verdict(problems)
 
 
-def symmetrizer_sum_check(k: int, n: int, binding: MatrixBinding, label: str = "A") -> bool:
+def symmetrizer_sum_check(k: int, n: int, binding: MatrixBinding) -> bool:
     """Cycle decomposition of the closed antisymmetrizer with one open strand.
 
     The k-loop diagram sum equals
     ``sum_i (-1)^i k!/(k-i)! * (closed (k-i)-loop antisymmetrizer) * A^i``.
     """
-    total = builders.ch_diagram(n, [label] * k)
-    return _cycle_sum_holds(k, total, _loop_sums(n, k, label), binding, label)
+    return _cycle_sum_holds(k, builders.ch_classes(n, "A", k), _loop_sums(n, k), binding)
 
 
-def _cycle_sum_holds(
-    k: int, total: FormalSum, loops, binding: MatrixBinding, label: str = "A"
-) -> bool:
+def _cycle_sum_holds(k: int, total: FormalSum, loops, binding: MatrixBinding) -> bool:
     lhs = sum_function_matrix(total, binding).entries
-    rhs = _poly_at(_cycle_coefficients(k, loops, binding), binding.matrix(label))
+    rhs = _poly_at(_cycle_coefficients(k, loops, binding), binding.matrix("A"))
     return matrices.matrices_equal(lhs, rhs)
 
 
 def _symmetrizer_fixture(n: int):
-    return [builders.ch_diagram(n, ["A"] * k) for k in range(n + 1)], _loop_sums(n, n)
+    return [builders.ch_classes(n, "A", k) for k in range(n + 1)], _loop_sums(n, n)
 
 
 def _check_symmetrizer_sum(n: int, rng: Random, trial: int, fix) -> dict:
@@ -847,7 +845,7 @@ class Identity:
 
 
 CATALOGUE: dict[str, Identity] = {
-    "ch": Identity(_check_cayley_hamilton, 2, (1, 2, 3, 4, 5), fixture=_ch_fixture),
+    "ch": Identity(_check_cayley_hamilton, 2, tuple(range(1, 11)), fixture=_ch_fixture),
     "ch-general": Identity(
         _check_generalized_ch, 2, (1, 2, 3), fixture=lambda n: builders.ch_diagram(n, _labels(n))
     ),
@@ -861,7 +859,7 @@ CATALOGUE: dict[str, Identity] = {
     "charpoly": Identity(_check_charpoly, 2, (1, 2, 3, 4), fixture=_charpoly_diagrams),
     "antisym-two-node": Identity(_check_antisym_two_node, 2, (1, 2, 3), fixture=_antisym_fixture),
     "symmetrizer-sum": Identity(
-        _check_symmetrizer_sum, 2, (1, 2, 3, 4, 5), fixture=_symmetrizer_fixture
+        _check_symmetrizer_sum, 2, tuple(range(1, 11)), fixture=_symmetrizer_fixture
     ),
     "fricke": Identity(_check_fricke, 2, (2,), fixture=_fricke_fixture),
     "vector": Identity(_check_vector, 3, (3,), fixture=_vector_fixture),

@@ -35,6 +35,7 @@ from tracediagrams import (
 from tracediagrams import algebra
 from tracediagrams import diagram as diagram_module
 from tracediagrams import matrices as mx
+from tracediagrams.dsl import parse_diagram_set
 from tracediagrams.engine import _sum_cells, index_tensor
 from tracediagrams.identities import random_diagram, trial_rng
 
@@ -384,85 +385,11 @@ def test_reframe_positions_all_partitions_of_exchange_relation():
         assert is_relation(reframe_positions(rel, ins, outs)).holds
 
 
-# -- merged evaluation of vertex-free terms ---------------------------------------
-
-
-def _vertex_free(rng, n, n_in, n_out, vectors):
-    """A valid framed diagram with no internal vertices: its framed leaves and
-    ``vectors`` vector leaves (labelled u or v) paired at random into strands,
-    plus up to two free loops, every word over A and B."""
-    ins = tuple(f"i{k}" for k in range(n_in))
-    outs = tuple(f"o{k}" for k in range(n_out))
-    vecs = [(f"v{k}", rng.choice("uv")) for k in range(vectors)]
-    ends = list(ins + outs) + [vid for vid, _ in vecs]
-    rng.shuffle(ends)
-
-    def word():
-        return tuple(rng.choice("AB") for _ in range(rng.randint(0, 3)))
-
-    edges = [Edge(f"s{k}", ends[2 * k], ends[2 * k + 1], word()) for k in range(len(ends) // 2)]
-    edges += [Edge(f"c{k}", None, None, word()) for k in range(rng.randint(0, 2))]
-    vertices = tuple(leaf(vid) for vid in ins + outs) + tuple(leaf(v, lab) for v, lab in vecs)
-    return TraceDiagram(n, vertices, tuple(edges), inputs=ins, outputs=outs)
-
-
-def _same_class(rng, d):
-    """``d`` with its edges renamed and reordered and its loop words rotated."""
-    edges = []
-    for k, e in enumerate(rng.sample(d.edges, len(d.edges))):
-        w = e.marking
-        if e.is_free_loop and w:
-            r = rng.randrange(len(w))
-            w = w[r:] + w[:r]
-        edges.append(Edge(f"x{k}", e.tail, e.head, w))
-    return TraceDiagram(
-        d.n, tuple(rng.sample(d.vertices, len(d.vertices))), tuple(edges), d.inputs, d.outputs
-    )
+# -- term-by-term evaluation of formal sums ---------------------------------------
 
 
 def _term_by_term(s, b):
     return _sum_cells((c, function_matrix(d, b)) for c, d in s.terms)
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(
-    st.sampled_from((1, 2, 3)),
-    st.integers(0, 2),
-    st.integers(0, 2),
-    st.integers(0, 2),
-    st.integers(1, 8),
-    st.integers(0, 2**32 - 1),
-)
-def test_merged_sums_match_term_by_term_evaluation(n, n_in, n_out, vectors, terms, seed):
-    rng = Random(seed)
-    vectors += (n_in + n_out + vectors) % 2
-    pool = [_vertex_free(rng, n, n_in, n_out, vectors) for _ in range(3)]
-    if n_in == n_out == 1:  # one-strand closures of a random permutation
-        images = rng.sample(range(1, 5), 4)
-        labels = {j: rng.choice("AB") for j in range(1, 5)}
-        pool.append(builders.closure_diagram(n, images, labels, open_strand=images[0]))
-    if n_in == n_out and not vectors:
-        pool.append(builders.permutation_diagram(n, rng.sample(range(1, n_in + 1), n_in)))
-    picked = [rng.randrange(len(pool)) for _ in range(terms)]
-    pairs = []
-    for i in picked:
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        pairs.append((c, _same_class(rng, pool[i])))
-        if rng.random() < 0.3:  # a copy that cancels it
-            pairs.append((-c, _same_class(rng, pool[i])))
-    s = FormalSum(tuple(pairs))
-    b = MatrixBinding(
-        n,
-        {lab: [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
-               for _ in range(n)] for lab in "AB"},
-        {lab: [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for lab in "uv"},
-    )
-    # every copy of a pool diagram joins its class
-    assert len(algebra._merged_terms(s)) <= len(set(picked))
-    assert sum_function_matrix(s, b) == _term_by_term(s, b)
-    if not n_in and not n_out:
-        want = sum((c * evaluate_closed(d, b) for c, d in s.terms), Fraction(0))
-        assert sum_closed_value(s, b) == want
 
 
 def _vector_strand(label):
@@ -493,7 +420,6 @@ _AB_PAIR = TraceDiagram(
 )
 def test_rotated_loop_words_merge(first, second):
     b = binding()
-    assert algebra._strand_key(first) == algebra._strand_key(second)
     s = FormalSum.of((2, first), (-1, second))
     assert sum_closed_value(s, b) == evaluate_closed(first, b)
 
@@ -520,9 +446,7 @@ def test_different_functions_do_not_merge(first, second):
         {"A": [[1, 2], [3, 4]], "B": [[0, 1], [2, 1]], "C": [[2, 0], [1, 3]]},
         {"u": [1, 2], "v": [3, -1]},
     )
-    assert algebra._strand_key(first) != algebra._strand_key(second)
     s = FormalSum.of((1, first), (-1, second))
-    assert len(algebra._merged_terms(s)) == 2
     fm = sum_function_matrix(s, b)
     assert fm == _term_by_term(s, b) and not fm.is_zero()
 
@@ -533,6 +457,8 @@ def test_cancelling_class_still_needs_its_labels():
     for s, evaluate in (
         (FormalSum.of((1, strand), (-1, strand)), sum_function_matrix),
         (FormalSum.of((1, loop), (-1, loop)), sum_closed_value),
+        (builders.ch_classes(2, "C", 2), sum_function_matrix),
+        (builders.loop_classes(2, "C", 2), sum_closed_value),
     ):
         for b in (binding(), None):
             with pytest.raises(UnboundLabelError):
@@ -545,21 +471,29 @@ def test_malformed_term_still_raises():
         2, (leaf("i"), leaf("o")), (Edge("s", "i", None, ("A",)),), inputs=("i",), outputs=("o",)
     )
     s = FormalSum.of((1, builders.matrix_strand(2, "A")), (1, bad), (-1, bad))
-    assert algebra._strand_key(bad) is None
     with pytest.raises(DiagramStructureError):
         sum_function_matrix(s, binding())
 
 
-def test_equal_closures_are_evaluated_once(monkeypatch):
+@pytest.mark.parametrize(
+    "labels, dim, terms",
+    [("A, A, A, A", 4, 12), ("A, B, C", 3, 24), ("A, A, B", 3, 24)],
+    ids=["AAAA-4", "ABC-3", "AAB-3"],
+)
+def test_ch_builtin_sums_equal_labels_by_class(monkeypatch, labels, dim, terms):
     calls = []
     evaluate = algebra.function_matrix
     monkeypatch.setattr(algebra, "function_matrix", lambda d, b: calls.append(d) or evaluate(d, b))
-    s = builders.ch_diagram(4, "AAAA")
-    b = MatrixBinding(4, {"A": [[1, 2, 0, 3], [4, 0, 1, 1], [2, 2, 5, 0], [0, 1, 3, 1]]})
-    assert len(s.terms) == 120
+    (s,) = parse_diagram_set(f"diagram s = builtin:ch({labels}) @ dim {dim}").values()
+    rng = Random(labels)
+    b = MatrixBinding(
+        dim,
+        {lab: [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
+               for _ in range(dim)] for lab in "ABC"},
+    )
+    assert len(s.terms) == terms
     assert sum_function_matrix(s, b).is_zero()
-    # open word length x cycle type of the closed strands: 5 + 3 + 2 + 1 + 1
-    assert len(calls) == 12
+    assert len(calls) == terms
 
 
 def test_each_term_is_validated_once(monkeypatch):

@@ -39,7 +39,12 @@ def test_all_builders_validate():
     ]
     for d in samples:
         assert validate(d).ok, validate(d).violations
-    for s in (builders.antisymmetrizer(2, 3), builders.ch_diagram(2, ["A", "B"])):
+    for s in (
+        builders.antisymmetrizer(2, 3),
+        builders.ch_diagram(2, ["A", "B"]),
+        builders.ch_classes(3, "A", 4),
+        builders.loop_classes(3, "A", 4),
+    ):
         for _, d in s.terms:
             assert validate(d).ok
 
@@ -170,6 +175,65 @@ def test_antisym_closed_loops_values():
     assert got == mx.mtrace(a) ** 2 - mx.mtrace(mx.mpow(a, 2))
     empty = sum_closed_value(builders.antisym_closed_loops(2, []), b)
     assert empty == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_class_sums_match_the_full_expansion(n):
+    rng = Random(f"classes:{n}")
+    for m in range(n + 1):
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        b = MatrixBinding(n, {"A": rows})
+        classes = sum_function_matrix(builders.ch_classes(n, "A", m), b)
+        assert classes == sum_function_matrix(builders.ch_diagram(n, ["A"] * m), b)
+        loops = sum_closed_value(builders.loop_classes(n, "A", m), b)
+        assert loops == sum_closed_value(builders.antisym_closed_loops(n, ["A"] * m), b)
+
+
+def _cycle_lengths(images):
+    """The cycle lengths of a permutation of 1..k given by its images, the
+    cycle through 1 first."""
+    seen, lengths = set(), []
+    for start in range(1, len(images) + 1):
+        length, cur = 0, start
+        while cur not in seen:
+            seen.add(cur)
+            cur = images[cur - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def _term_classes(s):
+    """Each term's coefficient by its class (open word length, loop word lengths
+    in non-increasing order); the edges of a closure diagram come strand first."""
+    out = {}
+    for c, d in s.terms:
+        words = [len(e.marking) for e in d.edges]
+        if d.inputs:
+            key = (words[0], tuple(sorted(words[1:], reverse=True)))
+        else:
+            key = tuple(sorted(words, reverse=True))
+        assert key not in out
+        out[key] = c
+    return out
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
+def test_class_coefficients_count_signed_permutations(m):
+    # the cycle through strand 1 leaves i letters on the open strand; each other
+    # cycle closes into a loop of its length
+    open_count, closed_count = {}, {}
+    for img in permutations(range(1, m + 2)):
+        first, *rest = _cycle_lengths(img)
+        key = (first - 1, tuple(sorted(rest, reverse=True)))
+        open_count[key] = open_count.get(key, 0) + perms.sign(img)
+    for img in permutations(range(1, m + 1)):
+        key = tuple(sorted(_cycle_lengths(img), reverse=True))
+        closed_count[key] = closed_count.get(key, 0) + perms.sign(img)
+    n = max(m, 1)
+    assert _term_classes(builders.ch_classes(n, "A", m)) == open_count
+    assert _term_classes(builders.loop_classes(n, "A", m)) == closed_count
 
 
 def test_fricke_traced_terms_read_as_trace_monomials():

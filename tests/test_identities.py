@@ -19,7 +19,7 @@ from tracediagrams import (
     sum_function_matrix,
     validate,
 )
-from tracediagrams import identities
+from tracediagrams import algebra, identities
 from tracediagrams import matrices as mx
 from tracediagrams.identities import (
     VerificationReport,
@@ -180,8 +180,20 @@ def test_fixture_is_built_once_per_run(monkeypatch):
 
 @pytest.mark.parametrize("identity", ["ch", "symmetrizer-sum"])
 def test_raised_dimension_cap_runs(identity):
-    assert max(identities.CATALOGUE[identity].dims) == 5
-    assert run_identity(identity, n=5, trials=2, seed=0).ok
+    assert max(identities.CATALOGUE[identity].dims) == 10
+    assert run_identity(identity, n=10, trials=1, seed=0).ok
+
+
+@pytest.mark.parametrize("identity", ["ch", "ch-general"])
+def test_two_by_two_summands_are_evaluated_once(monkeypatch, identity):
+    calls = []
+    for module in (identities, algebra):
+        evaluate = module.function_matrix
+        monkeypatch.setattr(
+            module, "function_matrix", lambda d, b, f=evaluate: calls.append(d) or f(d, b)
+        )
+    assert run_identity(identity, n=2, trials=1, seed=0).ok
+    assert len(calls) == 6
 
 
 def test_binding_free_failure_shows_in_every_trial(monkeypatch):
