@@ -2,18 +2,25 @@
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or input
 errors. All numeric output is exact rational text, never decimal.
+
+The argument parser is built on the first call of :func:`main` and reused
+after that. ``eval`` prints a function matrix from its nonzero ``cells``
+over ``den``; :attr:`FunctionMatrix.entries` is the dense view for the API
+and the tests, and prints the same text.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
+from functools import cache
 
 from . import matrices
 from .algebra import sum_closed_value, sum_function_matrix
 from .diagram import TraceDiagram, _validation
 from .dsl import _read_text, parse_diagram_set, parse_matrix_file
-from .engine import evaluate_closed, function_matrix
+from .engine import FunctionMatrix, evaluate_closed, function_matrix
 from .errors import DslSyntaxError, TraceDiagramError
 from .identities import (
     CATALOGUE,
@@ -24,9 +31,17 @@ from .identities import (
 )
 
 
-def _print_matrix(entries) -> None:
-    for row in entries:
-        print(" ".join(str(x) for x in row))
+def _matrix_text(fm: FunctionMatrix) -> str:
+    """One line per output row, entries separated by spaces, no final newline."""
+    cols = fm.n**fm.input_arity
+    rows: dict[int, list[str]] = {}
+    for idx, x in fm.cells.items():
+        r, c = divmod(idx, cols)
+        rows.setdefault(r, ["0"] * cols)[c] = str(Fraction(x, fm.den))
+    zero = " ".join(["0"] * cols)
+    return "\n".join(
+        " ".join(rows[r]) if r in rows else zero for r in range(fm.n**fm.output_arity)
+    )
 
 
 def _cmd_eval(args) -> int:
@@ -62,13 +77,13 @@ def _cmd_eval(args) -> int:
         if entity.is_closed():
             print(evaluate_closed(entity, binding))
         else:
-            _print_matrix(function_matrix(entity, binding).entries)
+            print(_matrix_text(function_matrix(entity, binding)))
     else:
         terms_closed = all(d.is_closed() for _, d in entity.terms)
         if terms_closed:
             print(sum_closed_value(entity, binding))
         else:
-            _print_matrix(sum_function_matrix(entity, binding).entries)
+            print(_matrix_text(sum_function_matrix(entity, binding)))
     return 0
 
 
@@ -126,7 +141,9 @@ def _cmd_pfaffian(args) -> int:
     return 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tracediagrams",
         description="Evaluate trace diagrams exactly and verify their matrix identities.",

@@ -100,8 +100,10 @@ class FunctionMatrix:
     equal functions have equal fields and ``==`` and the hash compare values.
     ``entry``, ``column``, ``scalar`` and ``entries`` give ``Fraction``
     values; ``entries``, the dense ``n^out x n^in`` form, is built on first
-    use and kept. ``+`` and scaling by a rational go through one cell-sum
-    loop, :func:`_sum_cells`.
+    use and kept. It is the dense view for the API and the tests: the CLI
+    prints from ``cells`` and ``den`` and builds no grid of ``Fraction``.
+    ``+`` and scaling by a rational go through one cell-sum loop,
+    :func:`_sum_cells`.
     """
 
     n: int

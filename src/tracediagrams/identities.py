@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
@@ -906,6 +905,9 @@ def _map_trials(identity: str, n: int, trials: int, seed, jobs: int):
     global _run_fixtures
     args = [(identity, n, seed, t) for t in range(trials)]
     if jobs > 1:
+        # imported here so that a run at jobs=1 loads no process-pool modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker) as pool:
             return list(pool.map(_trial_star, args))
     saved, _run_fixtures = _run_fixtures, {}

@@ -1,9 +1,20 @@
 """Command-line behavior: output, exit codes, determinism across --jobs."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tracediagrams
+from tracediagrams import FunctionMatrix, MatrixBinding, function_matrix, tensor
+from tracediagrams import cli
+from tracediagrams.builders import cross_product_diagram, matrix_strand, trace_loop
 from tracediagrams.cli import main
 
 
@@ -43,6 +54,54 @@ def test_eval_framed_prints_matrix(tmp_path, capsys):
     tmat.write_text("matrix A 2 2\n1 2\n3 4\n", encoding="utf-8")
     assert main(["eval", str(tdg), "--bind", str(tmat)]) == 0
     assert capsys.readouterr().out == "1 2\n3 4\n"
+
+
+def test_eval_framed_prints_rational_cells(tmp_path, capsys):
+    tdg = tmp_path / "s.tdg"
+    tdg.write_text("diagram s = builtin:strand(A, B) @ dim 2\n", encoding="utf-8")
+    tmat = tmp_path / "m.tmat"
+    tmat.write_text(
+        "matrix A 2 2\n1/2 -3/4\n0 5\nmatrix B 2 2\n1 0\n0 1/3\n", encoding="utf-8"
+    )
+    assert main(["eval", str(tdg), "--bind", str(tmat)]) == 0
+    assert capsys.readouterr().out == "1/2 -1/4\n0 5/3\n"
+
+
+def _dense_text(fm):
+    return "\n".join(" ".join(str(x) for x in row) for row in fm.entries)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
+def test_sparse_printer_matches_the_dense_rendering(data, n, ins, outs):
+    size = n ** (ins + outs)
+    cells = data.draw(st.dictionaries(
+        st.integers(0, size - 1), st.integers(-40, 40).filter(bool), max_size=size
+    ))
+    den = data.draw(st.integers(-12, 12).filter(bool))
+    fm = FunctionMatrix(n, ins, outs, cells, den)
+    assert cli._matrix_text(fm) == _dense_text(fm)
+
+
+def test_sparse_printer_on_diagram_shapes():
+    half = Fraction(1, 2)
+    b = MatrixBinding(
+        3,
+        {"A": [[half, -3, 0], [0, Fraction(-7, 4), 1], [2, 0, 0]], "B": [[0] * 3] * 3},
+        {"u": [half, -1, 2], "v": [0, Fraction(2, 3), -5]},
+    )
+    shapes = [
+        function_matrix(cross_product_diagram("u", "v"), b),  # 0-in/1-out
+        function_matrix(trace_loop(3, "A"), b),  # 1x1, closed
+        function_matrix(tensor(matrix_strand(3, "A"), matrix_strand(3, "A")), b),
+        function_matrix(matrix_strand(3, "B"), b),  # all zero
+    ]
+    texts = [cli._matrix_text(fm) for fm in shapes]
+    assert texts == [_dense_text(fm) for fm in shapes]
+    assert texts[0].splitlines() == ["11/3", "5/2", "1/3"]
+    assert texts[1] == "-5/4"
+    assert "-7/8" in texts[2].split() and "49/16" in texts[2].split()
+    assert texts[3] == "0 0 0\n0 0 0\n0 0 0"
 
 
 def test_eval_formal_sum(tmp_path, capsys):
@@ -164,6 +223,62 @@ def test_verify_jobs_do_not_change_output(capsys):
         for line in text.strip().splitlines()
     ]
     assert strip(one) == strip(two)
+
+
+def _session(argvs, capsys):
+    """Exit code, stdout without timings, and stderr of each command in turn."""
+    out = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        stdout = re.sub(r"elapsed(=|\": )[0-9.e-]+", "elapsed", captured.out)
+        out.append((code, stdout, captured.err))
+    return out
+
+
+def test_reused_parser_matches_a_fresh_parser(bound_files, monkeypatch, capsys):
+    tdg, tmat, _ = bound_files
+    argvs = [
+        ["verify", "det-diagram", "--dim", "2", "--trials", "2", "--seed", "3",
+         "--format", "records"],
+        ["verify", "det-diagram", "--dim", "2", "--trials", "2", "--seed", "3"],
+        ["verify", "no-such-identity"],
+        ["eval", str(tdg), "--bind", str(tmat), "--diagram", "det2"],
+        ["verify", "binor", "--trials", "1", "--format", "records"],
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = _session(argvs, capsys)
+    cli.build_parser.cache_clear()
+    reused = _session(argvs, capsys)
+    assert cli.build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
+    assert fresh[0][1].startswith("{") and fresh[1][1].startswith("identity=det-diagram")
+    assert "invalid choice" in fresh[2][2]
+
+
+def test_jobs_one_loads_no_process_pool():
+    script = (
+        "import sys\n"
+        "pool = lambda: [m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')]\n"
+        "import tracediagrams\n"
+        "assert not pool(), pool()\n"
+        "from tracediagrams.cli import main\n"
+        "assert main(['verify', 'binor', '--trials', '1']) == 0\n"
+        "assert not pool(), pool()\n"
+    )
+    src = str(Path(tracediagrams.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_charpoly_command(bound_files, capsys):
