@@ -26,6 +26,13 @@ sign per vertex, fixed by the diagram, converts that to the ciliation order.
 :func:`enumerate_colorings`, :func:`signature` and :func:`coefficient` keep
 the definition itself, and the tests compare the two.
 
+A diagram without an internal vertex needs none of this: every edge is a free
+loop or a strand between two leaves, so the sum is a product of one factor per
+edge. :func:`function_matrix` and :func:`evaluate_closed` walk such a diagram's
+strands once, in :func:`_strand_cells`, and build no :class:`_Shape`; the DP
+and its shape serve diagrams with internal vertices, :func:`weight` (which
+pins leaf labels) and :func:`enumerate_colorings`.
+
 The signed sum runs on integers. Each edge's word product and each vector is
 read from the binding as integer entries over one denominator, so the sum of a
 whole diagram is an integer over the product of those denominators, divided
@@ -194,7 +201,9 @@ class _Shape:
     """Validated index of a diagram's edge ends; it does not depend on a binding.
 
     Built once per diagram object by :func:`_shape`, from the validation kept
-    on the diagram, which the CLI may already have made.
+    on the diagram, which the CLI may already have made. Only the DP, its
+    :func:`weight` and the enumerator index a diagram: a diagram without an
+    internal vertex is evaluated by :func:`_strand_cells`.
     """
 
     def __init__(self, diagram: TraceDiagram):
@@ -434,6 +443,72 @@ class _Prepared:
         return [(*move, c, -c if move[2] else c) for move, c in merged.items() if c]
 
 
+def _strand_cells(
+    diagram: TraceDiagram,
+    binding: Optional[MatrixBinding],
+    places: Mapping[str, int],
+) -> tuple[dict[int, int], int]:
+    """:meth:`_Prepared.signed_sum` and :attr:`_Prepared.den` for a diagram
+    with no internal vertex, read off its strands without a :class:`_Shape`.
+
+    Every edge is then a free loop or a strand between two leaves, so the sum
+    factors: a loop gives the trace of its word's integer entries (``n`` when
+    unmarked), and a strand gives its word's entries (the identity when
+    unmarked), each times the vector entry at a vector-terminated end and
+    placed at ``sum(places[leaf] * (label - 1))`` over its open leaves. The
+    cells are the products of one entry per strand. ``places`` must give
+    each open leaf its own mixed-radix place, so no two products share a
+    cell. Lattices are read in ``_Prepared``'s order, so a binding that lacks
+    a label fails on the same label.
+    """
+    result = _validation(diagram)
+    if not result.ok:
+        raise DiagramStructureError("; ".join(result.violations))
+    _check_dimension(diagram, binding)
+    if binding is None:
+        labels = diagram.matrix_labels() | diagram.vector_labels()
+        if labels:
+            raise UnboundLabelError(min(labels))
+    n = diagram.n
+    scalar, den, strands = 1, 1, []
+    for e in sorted(diagram.edges, key=lambda e: e.id):
+        rows = None
+        if e.marking:
+            rows, d = binding.edge_lattice(e.marking)
+            den *= d
+        if e.tail is not None:
+            strands.append((rows, e.head, e.tail))
+        elif rows is None:
+            scalar *= n
+        else:
+            scalar *= sum(row[i] for i, row in enumerate(rows))
+    vector = {v.id: v.vector_label for v in diagram.vertices if v.vector_label is not None}
+    cells = {0: scalar} if scalar else {}
+    for rows, head, tail in strands:
+        ends = []
+        for vid in (tail, head):
+            if vid in vector:
+                entries, d = binding.vector_lattice(vector[vid])
+                den *= d
+                ends.append((entries, 0))
+            else:
+                ends.append((None, places.get(vid, 0)))
+        (tvec, tplace), (hvec, hplace) = ends
+        part: dict[int, int] = {}
+        for h in range(n):
+            for t in range(n) if rows else (h,):
+                c = rows[h][t] if rows else 1
+                if hvec is not None:
+                    c *= hvec[h]
+                if tvec is not None:
+                    c *= tvec[t]
+                if c:
+                    key = h * hplace + t * tplace
+                    part[key] = part.get(key, 0) + c
+        cells = {i + j: x * y for i, x in cells.items() for j, y in part.items() if y}
+    return cells, den
+
+
 def enumerate_colorings(
     diagram: TraceDiagram, precoloring: Optional[LeafColoring] = None
 ) -> Iterator[Coloring]:
@@ -497,6 +572,10 @@ def weight(
     return Fraction(prep.signed_sum(pinned, {}).get(0, 0), prep.den)
 
 
+def _vertex_free(diagram: TraceDiagram) -> bool:
+    return all(v.kind != INTERNAL for v in diagram.vertices)
+
+
 def evaluate_closed(
     diagram: TraceDiagram, binding: Optional[MatrixBinding] = None
 ) -> Fraction:
@@ -505,6 +584,9 @@ def evaluate_closed(
         raise FramingError(
             f"not closed: open leaves {', '.join(diagram.open_leaves())}"
         )
+    if _vertex_free(diagram):
+        cells, den = _strand_cells(diagram, binding, {})
+        return Fraction(cells.get(0, 0), den)
     return weight(diagram, {}, binding)
 
 
@@ -513,23 +595,15 @@ def evaluate_fast_closed(
 ) -> Fraction:
     """Product of traces of the loop words; only for vertex-free closed diagrams.
 
-    Cross-checked against :func:`evaluate_closed` in the test suite; the empty
-    diagram evaluates to 1.
+    This is :func:`evaluate_closed`'s strand walk, refusing first any diagram
+    that has a vertex or an edge other than a free loop; the empty diagram
+    evaluates to 1.
     """
     if diagram.vertices:
         raise DiagramStructureError("fast path inapplicable: diagram has vertices")
-    _check_dimension(diagram, binding)
-    total = Fraction(1)
-    for e in diagram.edges:
-        if not e.is_free_loop:
-            raise DiagramStructureError("fast path inapplicable: non-loop edge")
-        if e.marking and binding is None:
-            raise UnboundLabelError(e.marking[0])
-        if e.marking:
-            total *= matrices.mtrace(binding.edge_matrix(e.marking))
-        else:
-            total *= diagram.n
-    return total
+    if not all(e.is_free_loop for e in diagram.edges):
+        raise DiagramStructureError("fast path inapplicable: non-loop edge")
+    return evaluate_closed(diagram, binding)
 
 
 def function_matrix(
@@ -542,12 +616,15 @@ def function_matrix(
     """
     if not diagram.framed:
         raise FramingError("function matrix needs a framed diagram")
-    prep = _Prepared(diagram, binding)
-    n = diagram.n
-    in_ends = [prep.shape.open_end[vid] for vid in diagram.inputs]
-    out_ends = [prep.shape.open_end[vid] for vid in diagram.outputs]
-    cols = n ** len(in_ends)
-    places = {end: n**k for k, end in enumerate(reversed(in_ends))}
-    places.update({end: cols * n**k for k, end in enumerate(reversed(out_ends))})
-    cells = {idx: value for idx, value in prep.signed_sum({}, places).items() if value}
-    return FunctionMatrix(n, len(in_ends), len(out_ends), cells, prep.den)
+    n, ins, outs = diagram.n, diagram.inputs, diagram.outputs
+    cols = n ** len(ins)
+    places = {vid: n**k for k, vid in enumerate(reversed(ins))}
+    places.update({vid: cols * n**k for k, vid in enumerate(reversed(outs))})
+    if _vertex_free(diagram):
+        cells, den = _strand_cells(diagram, binding, places)
+    else:
+        prep = _Prepared(diagram, binding)
+        ends = {prep.shape.open_end[vid]: place for vid, place in places.items()}
+        cells = {idx: x for idx, x in prep.signed_sum({}, ends).items() if x}
+        den = prep.den
+    return FunctionMatrix(n, len(ins), len(outs), cells, den)

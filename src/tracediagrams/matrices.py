@@ -26,7 +26,13 @@ IntRows = list[list[int]]
 
 
 def _exact(x) -> Fraction:
-    """``x`` as a Fraction; a float or any other non-rational number is refused."""
+    """``x`` as a Fraction; a float or any other non-rational number is refused.
+
+    A Fraction is returned as it is, so a parsed ``.tmat`` entry is not built
+    a second time.
+    """
+    if type(x) is Fraction:
+        return x
     if not isinstance(x, Rational):
         raise InexactValueError(f"{x!r} is not an exact rational number")
     return Fraction(x)

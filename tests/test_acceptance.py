@@ -13,8 +13,11 @@ from tracediagrams import (
     MatrixBinding,
     TraceDiagram,
     builders,
+    coefficient,
+    enumerate_colorings,
     evaluate_closed,
     evaluate_fast_closed,
+    signature,
     sum_function_matrix,
 )
 from tracediagrams import matrices as mx
@@ -154,5 +157,12 @@ def test_criterion_13_fast_path_self_consistency():
             for i in range(rng.randint(0, 3))
         )
         d = TraceDiagram(n, (), edges, inputs=(), outputs=())
-        ok &= evaluate_fast_closed(d, binding) == evaluate_closed(d, binding)
+        # the two closed routes share the strand walk: check each against the
+        # signed coloring sum, which is the definition
+        want = sum(
+            signature(d, col) * coefficient(d, col, binding)
+            for col in enumerate_colorings(d)
+        )
+        ok &= evaluate_fast_closed(d, binding) == want
+        ok &= evaluate_closed(d, binding) == want
     _criterion(13, "fast closed path equals coloring sum", ok, time.monotonic() - start, 30)

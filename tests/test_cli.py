@@ -119,6 +119,33 @@ def test_eval_unbound_label_exits_2(bound_files, capsys):
     assert "'A'" in capsys.readouterr().err
 
 
+_LEAVES = "dim 2\nvertex a leaf\nvertex z leaf\n"
+
+
+@pytest.mark.parametrize(
+    "tdg, bind, err",
+    [
+        ("dim 2\nvertex x leaf vec u\nedge e x x\n", False,
+         "invalid diagram: leaf x has degree 2, expected 1"),
+        (_LEAVES + "vertex p leaf\nvertex q leaf\nedge e a z mark A\nedge f p q\n"
+         "inputs e@a\noutputs e@z\n", True,
+         "invalid diagram: framing not a partition of the open leaves"),
+        ("diagram s = builtin:strand(B, A) @ dim 2\n", False, "label 'A' is not bound"),
+        ("diagram s = builtin:strand(A) @ dim 3\n", True,
+         "binding dimension 2 != diagram dimension 3"),
+        (_LEAVES + "edge e a z mark A\n", True, "function matrix needs a framed diagram"),
+    ],
+    ids=["leaf-degree-2", "framing", "unbound", "dimension", "unframed"],
+)
+def test_eval_malformed_vertex_free_diagram_exits_2(bound_files, tmp_path, capsys, tdg, bind, err):
+    path = tmp_path / "bad.tdg"
+    path.write_text(tdg, encoding="utf-8")
+    argv = ["eval", str(path)] + (["--bind", str(bound_files[1])] if bind else [])
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == err + "\n"
+
+
 def test_eval_needs_diagram_choice(bound_files, capsys):
     tdg, tmat, _ = bound_files
     assert main(["eval", str(tdg), "--bind", str(tmat)]) == 2

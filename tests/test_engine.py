@@ -28,6 +28,7 @@ from tracediagrams import (
     evaluate_closed,
     evaluate_fast_closed,
     function_matrix,
+    leaf,
     signature,
     weight,
 )
@@ -185,7 +186,11 @@ def test_fast_closed_matches_brute_force():
             for i in range(rng.randint(0, 3))
         )
         d = TraceDiagram(n, (), edges, inputs=(), outputs=())
-        assert evaluate_fast_closed(d, b) == evaluate_closed(d, b)
+        # both closed routes are the strand walk, so each is checked against
+        # the coloring definition and against the DP
+        want = _enumerated_weight(d, {}, b)
+        assert evaluate_fast_closed(d, b) == evaluate_closed(d, b) == want
+        assert weight(d, {}, b) == want
 
 
 def test_fast_closed_basics():
@@ -464,3 +469,134 @@ def test_pfaffian_diagram_at_eight():
     value = evaluate_closed(builders.pfaffian_diagram(8, "A"), MatrixBinding(8, {"A": a}))
     # the constant the Pfaffian scan measures: (-1)^m 2^m m! with m = n/2
     assert value == (-1) ** 4 * 2**4 * factorial(4) * mx.pfaffian_matchings(a)
+
+
+# ---------------------------------------------------------------------------
+# Diagrams without an internal vertex are walked strand by strand; weight
+# still takes the DP, so both are checked against the coloring enumerator
+
+
+@st.composite
+def vertex_free_diagrams(draw):
+    """n in 1..4; 0-3 strands whose ends are each an input, an output or a
+    vector leaf (so cups, caps and fully contracted strands occur); 0-2 free
+    loops; every edge marked by a word of length 0-3 over A and B."""
+    n = draw(st.integers(1, 4))
+    words = st.lists(st.sampled_from("AB"), max_size=3).map(tuple)
+    vertices, edges, ins, outs = [], [], [], []
+    for i in range(draw(st.integers(0, 3))):
+        ends = []
+        for side in "th":
+            vid = f"{side}{i}"
+            kind = draw(st.sampled_from(("in", "out", "vec")))
+            vertices.append(leaf(vid, draw(st.sampled_from("uv")) if kind == "vec" else None))
+            if kind != "vec":
+                (ins if kind == "in" else outs).append(vid)
+            ends.append(vid)
+        edges.append(Edge(f"s{i}", ends[0], ends[1], draw(words)))
+    for i in range(draw(st.integers(0, 2))):
+        edges.append(Edge(f"c{i}", None, None, draw(words)))
+    ins, outs = draw(st.permutations(ins)), draw(st.permutations(outs))
+    return TraceDiagram(n, tuple(vertices), tuple(draw(st.permutations(edges))),
+                        inputs=tuple(ins), outputs=tuple(outs))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(vertex_free_diagrams(), st.integers(0, 2**32 - 1))
+def test_strand_walk_matches_enumerator_on_vertex_free_diagrams(d, seed):
+    rng = Random(seed)
+    b = _random_binding(rng, d.n, "uv")
+    sums = _enumerated_matrix(d, b)
+    fm = function_matrix(d, b)
+    cols = d.n**fm.input_arity
+    want = {}
+    for (beta, alpha), x in sums.items():
+        if x:
+            want[tensor_index(beta, d.n) * cols + tensor_index(alpha, d.n)] = x
+    assert {idx: Fraction(x, fm.den) for idx, x in fm.cells.items()} == want
+    leaves = {vid: rng.randint(1, d.n) for vid in d.open_leaves()}
+    assert weight(d, leaves, b) == _enumerated_weight(d, leaves, b)
+    if d.is_closed():
+        assert evaluate_closed(d, b) == sums.get(((), ()), 0)
+
+
+def test_vertex_free_evaluation_builds_no_shape():
+    b = MatrixBinding(3, {"A": [[1, 2, 0], [0, 1, 3], [4, 0, 1]]})
+    perm = builders.permutation_diagram(3, (2, 3, 1))
+    strand = builders.matrix_strand(3, ("A", "A"))
+    loop = builders.trace_loop(3, ("A",))
+    assert function_matrix(perm).cells and function_matrix(strand, b).cells
+    assert evaluate_closed(loop, b) == evaluate_fast_closed(loop, b) == 3
+    assert all("_shape" not in d.__dict__ for d in (perm, strand, loop))
+    # weight keeps the DP, which indexes the diagram once and keeps the index
+    weight(strand, {"in1": 1, "out1": 2}, b)
+    assert "_shape" in strand.__dict__
+
+
+def _raised(call):
+    with pytest.raises(TraceDiagramError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _loop_and_strand(inputs=("a",), outputs=("z",), extra=()):
+    """A strand from leaf a (input) to leaf z (output) marked B A, a vector
+    leaf w on a second strand, and a free loop marked A."""
+    vertices = (leaf("a"), leaf("z"), leaf("w", "v"), leaf("y")) + extra
+    edges = (
+        Edge("e1", "a", "z", ("B", "A")),
+        Edge("e2", "w", "y", ()),
+        Edge("e3", None, None, ("A",)),
+    )
+    return TraceDiagram(3, vertices, edges, inputs=inputs, outputs=outputs + ("y",))
+
+
+@pytest.mark.parametrize(
+    "d, binding, error",
+    [
+        (
+            TraceDiagram(2, (leaf("x", "u"),), (Edge("e", "x", "x"),), (), ()),
+            None,
+            DiagramStructureError("leaf x has degree 2, expected 1"),
+        ),
+        (
+            _loop_and_strand(inputs=()),
+            None,
+            DiagramStructureError("framing not a partition of the open leaves"),
+        ),
+        (_loop_and_strand(), None, UnboundLabelError("A")),
+        (
+            _loop_and_strand(),
+            MatrixBinding(2, {"A": mx.identity(2), "B": mx.identity(2)}, {"v": [1, 2]}),
+            DimensionMismatchError("binding dimension 2 != diagram dimension 3"),
+        ),
+        (
+            _loop_and_strand(),
+            MatrixBinding(3, {"A": mx.identity(3)}, {"v": [1, 2, 3]}),
+            UnboundLabelError("B"),
+        ),
+        (
+            TraceDiagram(3, (), (Edge("c", None, None, ("B", "A")),), (), ()),
+            None,
+            UnboundLabelError("A"),
+        ),
+    ],
+    ids=["leaf-degree-2", "framing", "unbound", "dimension", "unbound-in-binding", "loop"],
+)
+def test_strand_walk_raises_what_the_dp_raises(d, binding, error):
+    want = (type(error), str(error))
+    assert _raised(lambda: function_matrix(d, binding)) == want
+    assert _raised(lambda: weight(d, {}, binding)) == want  # the DP route
+    if d.is_closed():
+        assert _raised(lambda: evaluate_closed(d, binding)) == want
+
+
+def test_unframed_open_vertex_free_diagram_is_refused():
+    d = builders.matrix_strand(2, ("A",))
+    bare = TraceDiagram(2, d.vertices, d.edges)
+    assert _raised(lambda: function_matrix(bare)) == (
+        FramingError, "function matrix needs a framed diagram"
+    )
+    assert _raised(lambda: evaluate_closed(bare)) == (
+        FramingError, "not closed: open leaves in1, out1"
+    )

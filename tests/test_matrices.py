@@ -251,3 +251,21 @@ def test_polarize_matches_fraction_inclusion_exclusion(n):
         for mats in ((cases[0], cases[2], cases[3]), (cases[1], cases[4], cases[5])):
             got = polarize(tau, 3, mats)
             assert got == ref_polarize(tau, 3, mats) and exact(got)
+
+
+def test_exact_keeps_fractions_converts_ints_and_refuses_inexact_numbers():
+    from decimal import Decimal
+
+    from tracediagrams import InexactValueError
+
+    half = Fraction(1, 2)
+    assert mx._exact(half) is half
+    for x, want in ((3, Fraction(3)), (-7, Fraction(-7)), (True, Fraction(1)), (False, Fraction(0))):
+        got = mx._exact(x)
+        assert type(got) is Fraction and got == want
+    for x in (0.5, 2.0, 1 + 0j, 2j, Decimal("0.5"), Decimal(2)):
+        with pytest.raises(InexactValueError):
+            mx._exact(x)
+    # parsed entries reach the binding as the parser's own Fractions
+    m = mx.freeze_matrix([[half, 1], [Fraction(-3, 4), 0]])
+    assert m[0][0] is half and m == ((half, 1), (Fraction(-3, 4), 0))
