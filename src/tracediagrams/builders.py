@@ -12,6 +12,10 @@ Ciliation conventions are pinned here once and guarded by tests:
 * Loop-closure builders close strand ``j`` through an arc marked by the j-th
   label; walking a closure cycle collects labels in travel order and stores
   the word reversed, which is the head-to-tail reading.
+
+The antisymmetrizer, :func:`ch_diagram`, :func:`antisym_closed_loops` and
+:func:`fricke_sum` are one signed sum over S_k, :func:`_signed_sum`, of their
+summands; each closed summand is one cycle walk in :func:`closure_diagram`.
 """
 
 from __future__ import annotations
@@ -84,14 +88,18 @@ def trace_loop(n: int, word) -> TraceDiagram:
     )
 
 
+def _signed_sum(k: int, build) -> FormalSum:
+    """The sum of ``sign(images) * build(images)`` over the permutations of
+    1..k in lexicographic order: the antisymmetrizer on k strands, each
+    summand closed as ``build`` closes it."""
+    terms = [(Fraction(perms.sign(img)), build(img)) for img in permutations(range(1, k + 1))]
+    return FormalSum(tuple(terms))
+
+
 def antisymmetrizer(n: int, k: int) -> FormalSum:
     """Signed sum over all wire permutations of k strands."""
     _check_strand_count(k)
-    terms = [
-        (Fraction(perms.sign(img)), permutation_diagram(n, img))
-        for img in permutations(range(1, k + 1))
-    ]
-    return FormalSum(tuple(terms))
+    return _signed_sum(k, lambda img: permutation_diagram(n, img))
 
 
 def two_node_pair(n: int, k: int, shared_markings) -> TraceDiagram:
@@ -175,52 +183,38 @@ def closure_diagram(
     ``images`` permutes strand positions (input i meets output images[i-1]);
     every strand except ``open_strand`` is closed by an arc marked with its
     entry in ``closure_labels``. The result collapses to a single open strand
-    (when ``open_strand`` is set) plus one free loop per leftover cycle.
+    (when ``open_strand`` is set) plus one free loop per leftover cycle. Each
+    cycle is walked once: the open strand's first, so its edge ``s1`` comes
+    first, then the loops ``c1, c2, ...`` in order of their smallest point.
     """
     images = tuple(images)
+    first = () if open_strand is None else (open_strand,)
     visited: set[int] = set()
+    vertices: tuple = ()
     edges = []
-    vertices = []
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
-
-    if open_strand is not None:
-        travel = []
-        cur = open_strand
-        visited.add(open_strand)
-        while True:
-            nxt = images[cur - 1]
-            if nxt == open_strand:
-                break
-            travel.append(closure_labels[nxt])
-            visited.add(nxt)
-            cur = nxt
-        word = tuple(reversed(travel))
-        if open_top_mark is not None:
-            word = (open_top_mark,) + word
-        vertices = [leaf("in1"), leaf("out1")]
-        edges.append(Edge("s1", tail="in1", head="out1", marking=word))
-        inputs, outputs = ("in1",), ("out1",)
-
     loops = 0
-    for start in range(1, len(images) + 1):
+    for start in (*first, *range(1, len(images) + 1)):
         if start in visited:
             continue
-        travel = []
-        cur = start
-        while True:
-            nxt = images[cur - 1]
-            travel.append(closure_labels[nxt])
-            visited.add(cur)
-            cur = nxt
-            if cur == start:
-                break
-        loops += 1
-        edges.append(Edge(f"c{loops}", None, None, tuple(reversed(travel))))
+        cycle = [start]
+        while (nxt := images[cycle[-1] - 1]) != start:
+            cycle.append(nxt)
+        visited.update(cycle)
+        # the arcs met after leaving start, read head to tail
+        word = tuple(closure_labels[j] for j in reversed(cycle[1:]))
+        if start == open_strand:
+            if open_top_mark is not None:
+                word = (open_top_mark, *word)
+            vertices = (leaf("in1"), leaf("out1"))
+            edges.append(Edge("s1", tail="in1", head="out1", marking=word))
+            inputs, outputs = ("in1",), ("out1",)
+        else:
+            loops += 1
+            edges.append(Edge(f"c{loops}", None, None, (closure_labels[start], *word)))
 
-    return TraceDiagram(
-        n, tuple(vertices), tuple(edges), inputs=inputs, outputs=outputs
-    )
+    return TraceDiagram(n, vertices, tuple(edges), inputs=inputs, outputs=outputs)
 
 
 def ch_diagram(n: int, labels) -> FormalSum:
@@ -229,14 +223,7 @@ def ch_diagram(n: int, labels) -> FormalSum:
     labels = tuple(labels)
     m = len(labels)
     closure = {j: labels[j - 2] for j in range(2, m + 2)}
-    terms = [
-        (
-            Fraction(perms.sign(img)),
-            closure_diagram(n, img, closure, open_strand=1),
-        )
-        for img in permutations(range(1, m + 2))
-    ]
-    return FormalSum(tuple(terms))
+    return _signed_sum(m + 1, lambda img: closure_diagram(n, img, closure, open_strand=1))
 
 
 def antisym_closed_loops(n: int, labels) -> FormalSum:
@@ -248,11 +235,7 @@ def antisym_closed_loops(n: int, labels) -> FormalSum:
     labels = tuple(labels)
     m = len(labels)
     closure = {j: labels[j - 1] for j in range(1, m + 1)}
-    terms = [
-        (Fraction(perms.sign(img)), closure_diagram(n, img, closure))
-        for img in permutations(range(1, m + 1))
-    ]
-    return FormalSum(tuple(terms))
+    return _signed_sum(m, lambda img: closure_diagram(n, img, closure))
 
 
 def _partitions(k: int, largest: int | None = None):
@@ -313,14 +296,7 @@ def fricke_sum(a_label: str, b_label: str, c_label: str) -> FormalSum:
     """The 2x2 six-summand relation with an open strand marked ``a`` on top and
     loop closures for ``b`` and ``c``."""
     closure = {2: b_label, 3: c_label}
-    terms = [
-        (
-            Fraction(perms.sign(img)),
-            closure_diagram(2, img, closure, open_strand=1, open_top_mark=a_label),
-        )
-        for img in permutations((1, 2, 3))
-    ]
-    return FormalSum(tuple(terms))
+    return _signed_sum(3, lambda img: closure_diagram(2, img, closure, 1, a_label))
 
 
 def fricke_traced_sum(a_label: str, b_label: str, c_label: str) -> FormalSum:

@@ -94,7 +94,6 @@ def parse_builtin_ref(text: str, default_dim: Optional[int], line: int = 0) -> E
     n = int(dimstr) if dimstr else default_dim
     if n is None:
         raise DslSyntaxError("builtin reference needs '@ dim <n>'", line)
-    from .errors import TraceDiagramError
 
     try:
         return build_builtin(name, args, n)
@@ -115,9 +114,6 @@ class _Draft:
         self.inputs: Optional[list[tuple[str, int]]] = None
         self.outputs: Optional[list[tuple[str, int]]] = None
         self.builtin: Optional[Entity] = None
-
-    def vertex_ids(self):
-        return {v.id for v in self.vertices}
 
     def edge_map(self):
         return {e.id: e for e in self.edges}
@@ -412,18 +408,13 @@ def parse_matrix_file(text: str) -> MatrixBinding:
     vecs: dict[str, list[Fraction]] = {}
     expect: Optional[tuple[str, str, int, int]] = None  # kind, name, rows-left, cols
     n: Optional[int] = None
-
-    def parse_row(stmt: str, line: int, want: int) -> list[Fraction]:
-        row = [_rational(tok, line) for tok in stmt.split()]
-        if len(row) != want:
-            raise DslSyntaxError(f"expected {want} entries, got {len(row)}", line)
-        return row
-
     for line, stmt in _logical_lines(text):
         words = stmt.split()
         if expect is not None:
             kind, name, left, cols = expect
-            row = parse_row(stmt, line, cols)
+            row = [_rational(tok, line) for tok in words]
+            if len(row) != cols:
+                raise DslSyntaxError(f"expected {cols} entries, got {len(row)}", line)
             if kind == "matrix":
                 mats[name].append(row)
             else:
@@ -437,28 +428,24 @@ def parse_matrix_file(text: str) -> MatrixBinding:
             name, rows, cols = words[1], int(words[2]), int(words[3])
             if rows != cols:
                 raise DslSyntaxError(f"matrix {name!r} must be square", line)
-            if n is None:
-                n = rows
-            elif n != rows:
-                raise DslSyntaxError(
-                    f"matrix {name!r} is {rows}x{cols}, file dimension is {n}", line
-                )
+            size, shape = rows, f"is {rows}x{cols}"
             mats[name] = []
             expect = ("matrix", name, rows, cols)
         elif words[0] == "vector":
             if len(words) != 3 or not words[2].isdecimal():
                 raise DslSyntaxError("expected 'vector <name> <len>'", line)
-            name, length = words[1], int(words[2])
-            if n is None:
-                n = length
-            elif n != length:
-                raise DslSyntaxError(
-                    f"vector {name!r} has length {length}, file dimension is {n}", line
-                )
+            name, size = words[1], int(words[2])
+            shape = f"has length {size}"
             vecs[name] = []
-            expect = ("vector", name, 1, length)
+            expect = ("vector", name, 1, size)
         else:
             raise DslSyntaxError(f"unknown statement {words[0]!r}", line)
+        if size < 1:
+            raise DslSyntaxError(f"{words[0]} {name!r} is empty", line)
+        if n is None:
+            n = size
+        elif n != size:
+            raise DslSyntaxError(f"{words[0]} {name!r} {shape}, file dimension is {n}", line)
     if expect is not None:
         raise DslSyntaxError(f"unterminated block for {expect[1]!r}", line)
     if n is None:

@@ -28,10 +28,12 @@ the definition itself, and the tests compare the two.
 
 A diagram without an internal vertex needs none of this: every edge is a free
 loop or a strand between two leaves, so the sum is a product of one factor per
-edge. :func:`function_matrix` and :func:`evaluate_closed` walk such a diagram's
-strands once, in :func:`_strand_cells`, and build no :class:`_Shape`; the DP
-and its shape serve diagrams with internal vertices, :func:`weight` (which
-pins leaf labels) and :func:`enumerate_colorings`.
+edge. :func:`function_matrix` and :func:`evaluate_closed` go through one route
+switch, :func:`_cells`, which walks such a diagram's strands once in
+:func:`_strand_cells`, building no :class:`_Shape`, and hands any other diagram
+to the DP. Both routes start with one check function, :func:`_check`, so they
+refuse the same inputs with the same errors. :func:`weight` (which pins leaf
+labels) and :func:`enumerate_colorings` always use the DP's shape.
 
 The signed sum runs on integers. Each edge's word product and each vector is
 read from the binding as integer entries over one denominator, so the sum of a
@@ -190,20 +192,27 @@ def _sum_cells(terms) -> FunctionMatrix:
     return FunctionMatrix(*shape, {idx: x for idx, x in total.items() if x}, den)
 
 
-def _check_dimension(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> None:
-    if binding is not None and binding.n != diagram.n:
-        raise DimensionMismatchError(
-            f"binding dimension {binding.n} != diagram dimension {diagram.n}"
-        )
+def _check(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> None:
+    """Validation, then the dimension, then with no binding the sorted-first
+    label: the checks both evaluation routes make before reading the binding."""
+    result = _validation(diagram)
+    if not result.ok:
+        raise DiagramStructureError("; ".join(result.violations))
+    if binding is not None:
+        if binding.n != diagram.n:
+            raise DimensionMismatchError(
+                f"binding dimension {binding.n} != diagram dimension {diagram.n}"
+            )
+    elif labels := diagram.matrix_labels() | diagram.vector_labels():
+        raise UnboundLabelError(min(labels))
 
 
 class _Shape:
     """Validated index of a diagram's edge ends; it does not depend on a binding.
 
     Built once per diagram object by :func:`_shape`, from the validation kept
-    on the diagram, which the CLI may already have made. Only the DP, its
-    :func:`weight` and the enumerator index a diagram: a diagram without an
-    internal vertex is evaluated by :func:`_strand_cells`.
+    on the diagram, which the CLI may already have made; it validates for the
+    enumerator, which makes no other check.
     """
 
     def __init__(self, diagram: TraceDiagram):
@@ -212,7 +221,6 @@ class _Shape:
             raise DiagramStructureError("; ".join(result.violations))
         self.n = diagram.n
         self.edges = sorted(diagram.edges, key=lambda e: e.id)
-        self.labels = sorted(diagram.matrix_labels() | diagram.vector_labels())
         self.internal_ids = [v.id for v in diagram.vertices if v.kind == INTERNAL]
         self.end_vertex: dict[tuple[str, str], str] = {}
         self.vector_end: dict[tuple[str, str], str] = {}  # end -> vector label
@@ -341,10 +349,8 @@ class _Prepared:
     """
 
     def __init__(self, diagram: TraceDiagram, binding: Optional[MatrixBinding]):
+        _check(diagram, binding)
         self.shape = shape = _shape(diagram)
-        _check_dimension(diagram, binding)
-        if shape.labels and binding is None:
-            raise UnboundLabelError(shape.labels[0])
         self.eff: dict[str, list[list[int]]] = {}
         self.end_vector: dict[tuple[str, str], list[int]] = {}
         den = shape.reading_sign
@@ -449,26 +455,18 @@ def _strand_cells(
     places: Mapping[str, int],
 ) -> tuple[dict[int, int], int]:
     """:meth:`_Prepared.signed_sum` and :attr:`_Prepared.den` for a diagram
-    with no internal vertex, read off its strands without a :class:`_Shape`.
-
-    Every edge is then a free loop or a strand between two leaves, so the sum
-    factors: a loop gives the trace of its word's integer entries (``n`` when
-    unmarked), and a strand gives its word's entries (the identity when
-    unmarked), each times the vector entry at a vector-terminated end and
-    placed at ``sum(places[leaf] * (label - 1))`` over its open leaves. The
-    cells are the products of one entry per strand. ``places`` must give
-    each open leaf its own mixed-radix place, so no two products share a
-    cell. Lattices are read in ``_Prepared``'s order, so a binding that lacks
-    a label fails on the same label.
+    with no internal vertex, read off its strands: every edge is a free loop
+    or a strand between two leaves, so the sum factors. A loop gives the trace
+    of its word's integer entries (``n`` when unmarked), and a strand gives
+    its word's entries (the identity when unmarked), each times the vector
+    entry at a vector-terminated end and placed at ``sum(places[leaf] *
+    (label - 1))`` over its open leaves. The cells are the products of one
+    entry per strand. ``places`` must give each open leaf its own mixed-radix
+    place, so no two products share a cell. Lattices are read in
+    ``_Prepared``'s order, so a binding that lacks a label fails on the same
+    label.
     """
-    result = _validation(diagram)
-    if not result.ok:
-        raise DiagramStructureError("; ".join(result.violations))
-    _check_dimension(diagram, binding)
-    if binding is None:
-        labels = diagram.matrix_labels() | diagram.vector_labels()
-        if labels:
-            raise UnboundLabelError(min(labels))
+    _check(diagram, binding)
     n = diagram.n
     scalar, den, strands = 1, 1, []
     for e in sorted(diagram.edges, key=lambda e: e.id):
@@ -572,8 +570,18 @@ def weight(
     return Fraction(prep.signed_sum(pinned, {}).get(0, 0), prep.den)
 
 
-def _vertex_free(diagram: TraceDiagram) -> bool:
-    return all(v.kind != INTERNAL for v in diagram.vertices)
+def _cells(
+    diagram: TraceDiagram,
+    binding: Optional[MatrixBinding],
+    places: Mapping[str, int],
+) -> tuple[dict[int, int], int]:
+    """``(cells, den)`` of the diagram's signed sum, nonzero cells only: the
+    strand walk for a diagram without an internal vertex, the DP otherwise."""
+    if all(v.kind != INTERNAL for v in diagram.vertices):
+        return _strand_cells(diagram, binding, places)
+    prep = _Prepared(diagram, binding)
+    ends = {prep.shape.open_end[vid]: place for vid, place in places.items()}
+    return {idx: x for idx, x in prep.signed_sum({}, ends).items() if x}, prep.den
 
 
 def evaluate_closed(
@@ -584,10 +592,8 @@ def evaluate_closed(
         raise FramingError(
             f"not closed: open leaves {', '.join(diagram.open_leaves())}"
         )
-    if _vertex_free(diagram):
-        cells, den = _strand_cells(diagram, binding, {})
-        return Fraction(cells.get(0, 0), den)
-    return weight(diagram, {}, binding)
+    cells, den = _cells(diagram, binding, {})
+    return Fraction(cells.get(0, 0), den)
 
 
 def evaluate_fast_closed(
@@ -620,11 +626,4 @@ def function_matrix(
     cols = n ** len(ins)
     places = {vid: n**k for k, vid in enumerate(reversed(ins))}
     places.update({vid: cols * n**k for k, vid in enumerate(reversed(outs))})
-    if _vertex_free(diagram):
-        cells, den = _strand_cells(diagram, binding, places)
-    else:
-        prep = _Prepared(diagram, binding)
-        ends = {prep.shape.open_end[vid]: place for vid, place in places.items()}
-        cells = {idx: x for idx, x in prep.signed_sum({}, ends).items() if x}
-        den = prep.den
-    return FunctionMatrix(n, len(ins), len(outs), cells, den)
+    return FunctionMatrix(n, len(ins), len(outs), *_cells(diagram, binding, places))

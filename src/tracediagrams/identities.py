@@ -406,12 +406,8 @@ def _det_sum_terms(n: int) -> list[TraceDiagram]:
     return [builders.det_sum_term(n, i, "A", "B") for i in range(n + 1)]
 
 
-def det_sum_check(n: int, binding: MatrixBinding) -> bool:
-    """det(A+B) against the split two-vertex diagrams, exactly."""
-    return _det_split_holds(_det_sum_terms(n), binding)
-
-
 def _det_split_holds(terms, binding: MatrixBinding) -> bool:
+    """det(A+B) against the split two-vertex diagrams, exactly."""
     n = len(terms) - 1
     lhs = matrices.bareiss_det(matrices.madd(binding.matrix("A"), binding.matrix("B")))
     total = Fraction(0)
@@ -519,16 +515,10 @@ def _check_antisym_two_node(n: int, rng: Random, trial: int, fix) -> dict:
     return _verdict(problems)
 
 
-def symmetrizer_sum_check(k: int, n: int, binding: MatrixBinding) -> bool:
-    """Cycle decomposition of the closed antisymmetrizer with one open strand.
-
-    The k-loop diagram sum equals
-    ``sum_i (-1)^i k!/(k-i)! * (closed (k-i)-loop antisymmetrizer) * A^i``.
-    """
-    return _cycle_sum_holds(k, builders.ch_classes(n, "A", k), _loop_sums(n, k), binding)
-
-
 def _cycle_sum_holds(k: int, total: FormalSum, loops, binding: MatrixBinding) -> bool:
+    """Cycle decomposition of the closed antisymmetrizer with one open strand:
+    the k-loop diagram sum ``total`` equals
+    ``sum_i (-1)^i k!/(k-i)! * (closed (k-i)-loop antisymmetrizer) * A^i``."""
     lhs = sum_function_matrix(total, binding).entries
     rhs = _poly_at(_cycle_coefficients(k, loops, binding), binding.matrix("A"))
     return matrices.matrices_equal(lhs, rhs)

@@ -83,10 +83,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return tuple((Fraction(0),) * cols for _ in range(rows))
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = shape(a)
     rb, cb = shape(b)
@@ -112,15 +108,6 @@ def mscale(c, a: Matrix) -> Matrix:
     rows, den = _lattice(a)
     k = c.numerator
     return _rational([[k * x for x in row] for row in rows], c.denominator * den)
-
-
-def mpow(a: Matrix, k: int) -> Matrix:
-    n, _ = shape(a)
-    rows, den = _lattice(a)
-    out = _int_identity(n)
-    for _ in range(k):
-        out = _product(out, rows)
-    return _rational(out, den**k)
 
 
 def mtrace(a: Matrix) -> Fraction:

@@ -1,5 +1,6 @@
 """Named diagram constructors and their pinned conventions."""
 
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -19,6 +20,7 @@ from tracediagrams import (
 )
 from tracediagrams import matrices as mx
 from tracediagrams import perms
+from tracediagrams.dsl import serialize_diagram
 from tracediagrams.engine import index_tensor
 
 
@@ -157,7 +159,7 @@ def test_ch_diagram_six_summands_2x2():
         (3, 2, 1): mx.mscale(t1, a2),
     }
     closure = {2: "A1", 3: "A2"}
-    total = mx.zeros(2, 2)
+    total = mx.freeze_matrix([[0, 0], [0, 0]])
     for img in permutations((1, 2, 3)):
         term = builders.closure_diagram(2, img, closure, open_strand=1)
         got = function_matrix(term, b).entries
@@ -172,7 +174,7 @@ def test_antisym_closed_loops_values():
     a = b.matrix("A")
     assert sum_closed_value(builders.antisym_closed_loops(2, ["A"]), b) == mx.mtrace(a)
     got = sum_closed_value(builders.antisym_closed_loops(2, ["A", "A"]), b)
-    assert got == mx.mtrace(a) ** 2 - mx.mtrace(mx.mpow(a, 2))
+    assert got == mx.mtrace(a) ** 2 - mx.mtrace(mx.matmul(a, a))
     empty = sum_closed_value(builders.antisym_closed_loops(2, []), b)
     assert empty == 1
 
@@ -304,3 +306,60 @@ def test_builtin_registry():
         builders.build_builtin("cross", ["u", "v"], 2)
     with pytest.raises(Exception):
         builders.build_builtin("det", [], 2)
+
+
+def _sums_by_family():
+    words = ((), ("A",), ("A", "B"), ("A", "A", "B"), ("A", "B", "C"))
+    return {
+        "antisymmetrizer": [builders.antisymmetrizer(3, k) for k in range(5)],
+        "ch_diagram": [builders.ch_diagram(3, w) for w in words],
+        "antisym_closed_loops": [builders.antisym_closed_loops(3, w) for w in words],
+        "ch_classes": [builders.ch_classes(3, "A", m) for m in range(5)],
+        "loop_classes": [builders.loop_classes(3, "A", m) for m in range(5)],
+        "fricke": [
+            builders.fricke_sum("A", "B", "C"),
+            builders.fricke_traced_sum("A", "B", "C"),
+        ],
+    }
+
+
+def _digest(texts) -> str:
+    return hashlib.sha256("\x00".join(texts).encode()).hexdigest()
+
+
+# sha256 over each term's coefficient and serialize_diagram text, in term
+# order: a change of term order, edge ids or words changes the digest even
+# where the summed value does not
+PINNED_SUMS = {
+    "antisymmetrizer": "4191d0d9e6c55d606c7e602437c095af67247d20f3a32aa8318b13f6df04c6da",
+    "ch_diagram": "14808694bdbaa04103b7bc4408789c82ca66ac62923544f79a4c76739663b50f",
+    "antisym_closed_loops": "7d6f3d7d103ee21b19da95837ffd9c403e79165dd8eecf50a57bd21dda965bfe",
+    "ch_classes": "e856b2e9f8e694541d1d05263b31f56567c5bff510e74836263b85030cd761a3",
+    "loop_classes": "fc7841b09ba28ff6d8a5c73e5b32decf5d518f07f5780ad410daf711d292d562",
+    "fricke": "228a188ca5b47404e56a274200456723a9dff0c0f6f165924bbbc479ab50c3ca",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_SUMS))
+def test_builder_sums_are_pinned(family):
+    texts = [
+        f"{c}\n{serialize_diagram(d)}"
+        for s in _sums_by_family()[family]
+        for c, d in s.terms
+    ]
+    assert _digest(texts) == PINNED_SUMS[family]
+
+
+def test_closure_diagrams_are_pinned():
+    # every permutation of 1..4, closed fully or with each strand left open,
+    # with and without a top mark on the open strand
+    labels = {j: f"L{j}" for j in range(1, 5)}
+    texts = [
+        serialize_diagram(builders.closure_diagram(2, img, labels, open_strand, top))
+        for img in permutations(range(1, 5))
+        for open_strand in (None, 1, 2, 3, 4)
+        for top in (None, "T")
+    ]
+    assert _digest(texts) == (
+        "353b465fffee678081ca9518e07c90070595b3d1e58cc7f1451088db8d0790a7"
+    )

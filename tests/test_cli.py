@@ -146,6 +146,22 @@ def test_eval_malformed_vertex_free_diagram_exits_2(bound_files, tmp_path, capsy
     assert out.out == "" and out.err == err + "\n"
 
 
+@pytest.mark.parametrize(
+    "tmat, err",
+    [
+        ("matrix A 0 0\nmatrix B 1 1\n2\n", "line 1: matrix 'A' is empty"),
+        ("vector u 0\n", "line 1: vector 'u' is empty"),
+    ],
+)
+def test_eval_empty_matrix_block_exits_2(tmp_path, capsys, tmat, err):
+    tdg = tmp_path / "s.tdg"
+    tdg.write_text("diagram s = builtin:strand(B) @ dim 1\n", encoding="utf-8")
+    (tmp_path / "z.tmat").write_text(tmat, encoding="utf-8")
+    assert main(["eval", str(tdg), "--bind", str(tmp_path / "z.tmat")]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"syntax error: {err}\n"
+
+
 def test_eval_needs_diagram_choice(bound_files, capsys):
     tdg, tmat, _ = bound_files
     assert main(["eval", str(tdg), "--bind", str(tmat)]) == 2

@@ -191,6 +191,20 @@ def test_matrix_file_shape_errors():
         parse_matrix_file("matrix A 2 2\n1 x\n3 4\n")
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("matrix A 0 0\nmatrix B 1 1\n2\n", "line 1: matrix 'A' is empty"),
+        ("vector u 0\n", "line 1: vector 'u' is empty"),
+        ("matrix A 1 1\n2\nvector u 0\n", "line 3: vector 'u' is empty"),
+    ],
+)
+def test_matrix_file_refuses_empty_blocks_at_their_header(text, err):
+    with pytest.raises(DslSyntaxError) as info:
+        parse_matrix_file(text)
+    assert str(info.value) == err
+
+
 def test_binding_dimension_mismatch_surfaces_at_evaluation():
     d = parse_diagram("dim 3; loop e1 mark A")
     binding = parse_matrix_file("matrix A 2 2\n1 2\n3 4\n")
