@@ -33,7 +33,6 @@ from .diagram import (
     TraceDiagram,
     ValidationResult,
     Vertex,
-    are_isomorphic,
     internal,
     leaf,
     validate,
@@ -43,7 +42,6 @@ from .engine import (
     FunctionMatrix,
     enumerate_colorings,
     evaluate_closed,
-    evaluate_fast_closed,
     coefficient,
     function_matrix,
     signature,

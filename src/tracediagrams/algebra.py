@@ -96,33 +96,39 @@ def compose(top: TraceDiagram, bottom: TraceDiagram) -> TraceDiagram:
                 leaf_end[vid] = (e.id, end)
 
     partner: dict[tuple[str, str], tuple[str, str]] = {}
-    glued_leaves: set[str] = set()
     for bo, ti in zip(bottom.outputs, top.inputs):
         a, b = leaf_end[bvmap[bo]], leaf_end[tvmap[ti]]
         partner[a] = b
         partner[b] = a
-        glued_leaves.add(bvmap[bo])
-        glued_leaves.add(tvmap[ti])
 
     touched = {eid for (eid, _) in partner}
     new_edges: list[Edge] = [e for eid, e in sorted(all_edges.items()) if eid not in touched]
     end_remap: dict[tuple[str, str], EndRef] = {}
     done: set[str] = set()
 
-    def fuse_chain(chain: list[tuple[str, str]], cyclic: bool) -> None:
-        # chain entries are (edge id, end we entered the segment at)
-        marked_back = any(
-            all_edges[eid].marking and entered == HEAD for eid, entered in chain
-        )
-        marked_fwd = any(
-            all_edges[eid].marking and entered == TAIL for eid, entered in chain
-        )
-        if marked_fwd and marked_back:
+    # a chain starts at an end that is not a glue junction and ends at another
+    # (open), or, once no such end is left, returns to its start (a cycle);
+    # chain entries are (edge id, end we entered the segment at)
+    starts = [(eid, end) for eid in sorted(touched) for end in (TAIL, HEAD)]
+    starts = [s for s in starts if s not in partner] + [(eid, TAIL) for eid in sorted(touched)]
+    for start in starts:
+        if start[0] in done:
+            continue
+        chain = [start]
+        while True:
+            nxt = partner.get((chain[-1][0], other_end(chain[-1][1])))
+            if nxt is None or nxt == start:
+                break
+            chain.append(nxt)
+        done.update(eid for eid, _ in chain)
+        # a marked segment entered at its head runs against the chain
+        directions = {entered for eid, entered in chain if all_edges[eid].marking}
+        if len(directions) > 1:
             raise CompositionError(
                 "cannot fuse oppositely directed marked wires "
                 f"({', '.join(eid for eid, _ in chain)})"
             )
-        if marked_back:
+        if directions == {HEAD}:
             chain = [(eid, other_end(entered)) for eid, entered in reversed(chain)]
         word = tuple(
             lab
@@ -130,7 +136,7 @@ def compose(top: TraceDiagram, bottom: TraceDiagram) -> TraceDiagram:
             for lab in all_edges[eid].marking
         )
         new_id = min(eid for eid, _ in chain)
-        if cyclic:
+        if nxt is not None:
             new_edges.append(Edge(new_id, None, None, word))
         else:
             first_e, first_in = chain[0]
@@ -140,38 +146,8 @@ def compose(top: TraceDiagram, bottom: TraceDiagram) -> TraceDiagram:
             new_edges.append(Edge(new_id, tail_v, head_v, word))
             end_remap[(first_e, first_in)] = EndRef(new_id, TAIL)
             end_remap[(last_e, other_end(last_in))] = EndRef(new_id, HEAD)
-        done.update(eid for eid, _ in chain)
 
-    # open chains start at ends that are not glue junctions
-    for eid in sorted(touched):
-        for start_end in (TAIL, HEAD):
-            if eid in done or (eid, start_end) in partner:
-                continue
-            chain = [(eid, start_end)]
-            cur = (eid, start_end)
-            while True:
-                exit_key = (cur[0], other_end(cur[1]))
-                nxt = partner.get(exit_key)
-                if nxt is None:
-                    break
-                chain.append(nxt)
-                cur = nxt
-            fuse_chain(chain, cyclic=False)
-
-    # whatever remains closes on itself
-    for eid in sorted(touched):
-        if eid in done:
-            continue
-        chain = [(eid, TAIL)]
-        cur = (eid, TAIL)
-        while True:
-            nxt = partner[(cur[0], other_end(cur[1]))]
-            if nxt == chain[0]:
-                break
-            chain.append(nxt)
-            cur = nxt
-        fuse_chain(chain, cyclic=True)
-
+    glued_leaves = {end_at[end] for end in partner}
     new_verts = []
     for vid, v in sorted(all_verts.items()):
         if vid in glued_leaves:

@@ -25,8 +25,6 @@ from .errors import DslSyntaxError, TraceDiagramError
 from .identities import (
     CATALOGUE,
     charpoly_diagrammatic,
-    pfaffian_scan,
-    polarization_check,
     run_identity,
 )
 
@@ -116,7 +114,7 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_polarize(args) -> int:
-    report = polarization_check(args.dim, trials=args.trials, seed=args.seed)
+    report = run_identity("polarization", args.dim, args.trials, args.seed)
     _emit_report(report, args.format)
     return 0 if report.ok else 1
 
@@ -125,7 +123,7 @@ def _cmd_pfaffian(args) -> int:
     if args.dim % 2:
         print("pfaffian scan needs an even dimension", file=sys.stderr)
         return 2
-    report = pfaffian_scan(args.dim, trials=args.trials, seed=args.seed, jobs=args.jobs)
+    report = run_identity("pfaffian", args.dim, args.trials, args.seed, args.jobs)
     for rec in report.records:
         if rec.get("skipped"):
             print(f"trial={rec['trial']} skipped (Pf = 0)")

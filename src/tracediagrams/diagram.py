@@ -11,7 +11,7 @@ diagram, or it is terminated by a vector label, which contracts that end
 against a bound vector during evaluation.
 
 Everything here is a frozen dataclass: diagrams can be shared freely between
-threads or processes.
+threads or processes, and two compare equal only when their ids agree too.
 """
 
 from __future__ import annotations
@@ -390,96 +390,3 @@ class MatrixBinding:
             (row,), den = matrices._lattice((self.vector(label),))
             lattice = self._lattices[label] = (row, den)
         return lattice
-
-
-def are_isomorphic(a: TraceDiagram, b: TraceDiagram) -> bool:
-    """Equality up to renaming of vertex and edge ids.
-
-    Ciliation order, edge directions, marking words, vector labels and the
-    framing orders must all be preserved by the relabeling. Backtracking
-    search; meant for tests, not for evaluation paths.
-    """
-    if a.n != b.n or len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
-        return False
-    if a.framed != b.framed:
-        return False
-
-    averts = sorted(a.vertices, key=lambda v: v.id)
-    bverts = list(b.vertices)
-    aedges = sorted(a.edges, key=lambda e: e.id)
-    bedges = list(b.edges)
-
-    def vertex_compatible(va: Vertex, vb: Vertex) -> bool:
-        return va.kind == vb.kind and va.vector_label == vb.vector_label
-
-    def edge_compatible(ea: Edge, eb: Edge, vmap: dict[str, str]) -> bool:
-        if ea.marking != eb.marking or ea.is_free_loop != eb.is_free_loop:
-            return False
-        for end in (TAIL, HEAD):
-            va, vb = ea.vertex_at(end), eb.vertex_at(end)
-            if (va is None) != (vb is None):
-                return False
-            if va is not None and va in vmap and vmap[va] != vb:
-                return False
-        return True
-
-    def finish(vmap: dict[str, str], emap: dict[str, str]) -> bool:
-        for va in averts:
-            vb = b.vertex(vmap[va.id])
-            mapped = tuple(EndRef(emap[r.edge], r.end) for r in va.ciliation)
-            if mapped != vb.ciliation:
-                return False
-        if a.framed:
-            if tuple(vmap[x] for x in a.inputs) != b.inputs:
-                return False
-            if tuple(vmap[x] for x in a.outputs) != b.outputs:
-                return False
-        return True
-
-    def assign_edges(i: int, vmap: dict[str, str], emap: dict[str, str]) -> bool:
-        if i == len(aedges):
-            return finish(vmap, emap)
-        ea = aedges[i]
-        for eb in bedges:
-            if eb.id in emap.values() or not edge_compatible(ea, eb, vmap):
-                continue
-            grown = dict(vmap)
-            ok = True
-            for end in (TAIL, HEAD):
-                va, vb = ea.vertex_at(end), eb.vertex_at(end)
-                if va is None:
-                    continue
-                if va in grown:
-                    if grown[va] != vb:
-                        ok = False
-                        break
-                elif vb in grown.values() or not vertex_compatible(
-                    a.vertex(va), b.vertex(vb)
-                ):
-                    ok = False
-                    break
-                else:
-                    grown[va] = vb
-            if not ok:
-                continue
-            emap[ea.id] = eb.id
-            if assign_edges(i + 1, grown, emap):
-                return True
-            del emap[ea.id]
-        return False
-
-    if not aedges:
-        # vertex-free (or edge-free) diagrams: match vertices directly
-        used: set[str] = set()
-        vmap: dict[str, str] = {}
-        for va in averts:
-            cand = [
-                vb for vb in bverts if vb.id not in used and vertex_compatible(va, vb)
-            ]
-            if not cand:
-                return False
-            vmap[va.id] = cand[0].id
-            used.add(cand[0].id)
-        return finish(vmap, {})
-
-    return assign_edges(0, {}, {})

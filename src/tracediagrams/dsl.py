@@ -289,9 +289,11 @@ def parse_diagram_set(text: str, default_dim: Optional[int] = None) -> dict[str,
             current = _Draft("main", line)
             drafts.append(current)
         _feed(current, line, stmt)
-    names = [d.name for d in drafts]
-    if len(set(names)) != len(names):
-        raise DslSyntaxError("duplicate diagram name", drafts[-1].line)
+    seen = set()
+    for d in drafts:
+        if d.name in seen:
+            raise DslSyntaxError(f"duplicate diagram name {d.name!r}", d.line)
+        seen.add(d.name)
     return {d.name: d.finish() for d in drafts}
 
 
@@ -429,17 +431,19 @@ def parse_matrix_file(text: str) -> MatrixBinding:
             if rows != cols:
                 raise DslSyntaxError(f"matrix {name!r} must be square", line)
             size, shape = rows, f"is {rows}x{cols}"
-            mats[name] = []
             expect = ("matrix", name, rows, cols)
         elif words[0] == "vector":
             if len(words) != 3 or not words[2].isdecimal():
                 raise DslSyntaxError("expected 'vector <name> <len>'", line)
             name, size = words[1], int(words[2])
             shape = f"has length {size}"
-            vecs[name] = []
             expect = ("vector", name, 1, size)
         else:
             raise DslSyntaxError(f"unknown statement {words[0]!r}", line)
+        blocks = mats if words[0] == "matrix" else vecs  # one name space each
+        if name in blocks:
+            raise DslSyntaxError(f"duplicate {words[0]} {name!r}", line)
+        blocks[name] = []
         if size < 1:
             raise DslSyntaxError(f"{words[0]} {name!r} is empty", line)
         if n is None:

@@ -28,12 +28,13 @@ the definition itself, and the tests compare the two.
 
 A diagram without an internal vertex needs none of this: every edge is a free
 loop or a strand between two leaves, so the sum is a product of one factor per
-edge. :func:`function_matrix` and :func:`evaluate_closed` go through one route
-switch, :func:`_cells`, which walks such a diagram's strands once in
-:func:`_strand_cells`, building no :class:`_Shape`, and hands any other diagram
-to the DP. Both routes start with one check function, :func:`_check`, so they
-refuse the same inputs with the same errors. :func:`weight` (which pins leaf
-labels) and :func:`enumerate_colorings` always use the DP's shape.
+edge. :func:`function_matrix` and :func:`evaluate_closed`, the entries for a
+diagram's whole sum, go through one route switch, :func:`_cells`, which walks
+such a diagram's strands once in :func:`_strand_cells`, building no
+:class:`_Shape`, and hands any other diagram to the DP. Both routes start with
+one check function, :func:`_check`, so they refuse the same inputs with the
+same errors. :func:`weight` (which pins leaf labels) and
+:func:`enumerate_colorings` always use the DP's shape.
 
 The signed sum runs on integers. Each edge's word product and each vector is
 read from the binding as integer entries over one denominator, so the sum of a
@@ -594,22 +595,6 @@ def evaluate_closed(
         )
     cells, den = _cells(diagram, binding, {})
     return Fraction(cells.get(0, 0), den)
-
-
-def evaluate_fast_closed(
-    diagram: TraceDiagram, binding: Optional[MatrixBinding] = None
-) -> Fraction:
-    """Product of traces of the loop words; only for vertex-free closed diagrams.
-
-    This is :func:`evaluate_closed`'s strand walk, refusing first any diagram
-    that has a vertex or an edge other than a free loop; the empty diagram
-    evaluates to 1.
-    """
-    if diagram.vertices:
-        raise DiagramStructureError("fast path inapplicable: diagram has vertices")
-    if not all(e.is_free_loop for e in diagram.edges):
-        raise DiagramStructureError("fast path inapplicable: non-loop edge")
-    return evaluate_closed(diagram, binding)
 
 
 def function_matrix(

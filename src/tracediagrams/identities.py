@@ -2,9 +2,10 @@
 
 Every check here is an equality of rationals or rational matrices; there are
 no tolerances. ``CATALOGUE`` declares each identity, and ``run_identity`` runs
-any of them. Each trial draws its matrices from an RNG seeded with the string
-``"{seed}:{trial}"`` so runs are reproducible and trials can be distributed
-over worker processes without changing any result.
+any of them; it is the one entry, which the ``verify``, ``polarize`` and
+``pfaffian`` commands all call. Each trial draws its matrices from an RNG
+seeded with the string ``"{seed}:{trial}"`` so runs are reproducible and
+trials can be distributed over worker processes without changing any result.
 
 Only the matrices change between trials. An identity's fixture, built from the
 dimension alone once per run (once per worker process with ``jobs > 1``),
@@ -326,7 +327,7 @@ def _sum_and_summands(n: int, binding: MatrixBinding, total: FormalSum, a1: str,
     problems = [
         f"summand {img} has the wrong matrix"
         for (img, want), fm in zip(expected.items(), fms)
-        if not matrices.matrices_equal(fm.entries, want)
+        if fm.entries != want
     ]
     return _sum_cells((c, fm) for (c, _), fm in zip(total.terms, fms)), problems
 
@@ -367,7 +368,7 @@ def _check_cayley_hamilton(n: int, rng: Random, trial: int, fix) -> dict:
         for i, (coeff, c) in enumerate(zip(coeffs, matrices.charpoly_fl(a)))
         if coeff != factorial(n) * c
     ]
-    if not matrices.matrices_equal(fm.entries, rhs):
+    if fm.entries != rhs:
         problems.append("cycle decomposition disagrees with the diagram sum")
     if not matrices.is_zero_matrix(rhs):
         problems.append("n! * sum c_i A^i is not zero")
@@ -376,7 +377,7 @@ def _check_cayley_hamilton(n: int, rng: Random, trial: int, fix) -> dict:
     if n == 2:
         # the regrouped sum is 2(A^2 - tr(A)A + det(A)I)
         regrouped = _poly_at((matrices.bareiss_det(a), -matrices.mtrace(a), 1), a)
-        if not matrices.matrices_equal(fm.entries, matrices.mscale(2, regrouped)):
+        if fm.entries != matrices.mscale(2, regrouped):
             problems.append("diagram sum != 2(A^2 - tr(A)A + det(A)I)")
     return _verdict(problems)
 
@@ -449,15 +450,8 @@ def multiplicity_ratio_check(n: int, k: int) -> bool:
     return True
 
 
-def marked_exchange_check(n: int, k: int, binding: MatrixBinding) -> bool:
-    """Permuting (head, tail) pairs among identically marked shared edges fixes
-    the contribution of every coloring: the signs at the two vertices change
-    together and the multiset of selected entries is unchanged."""
-    return _exchange_holds(_exchange_walk(n, k), binding)
-
-
 def _exchange_walk(n: int, k: int):
-    """The binding-free part of :func:`marked_exchange_check`: the diagram, its
+    """The binding-free part of :func:`_exchange_holds`: the diagram, its
     colorings from the enumerator with their signatures, and per coloring the
     stream index of its image under each permutation of the shared edges
     (``None`` where the image is missing from the stream)."""
@@ -479,8 +473,10 @@ def _exchange_walk(n: int, k: int):
 
 
 def _exchange_holds(walk, binding: MatrixBinding) -> bool:
-    """Every coloring's contribution, computed once, equals that of each of its
-    images; a missing image fails."""
+    """Permuting (head, tail) pairs among identically marked shared edges fixes
+    each coloring's contribution (both vertex signs flip together, the entries
+    are the same multiset): each, computed once, equals its images'; a missing
+    image fails."""
     d, colorings, signs, images = walk
     value = [s * coefficient(d, col, binding) for s, col in zip(signs, colorings)]
     return all(j is not None and value[j] == v for v, row in zip(value, images) for j in row)
@@ -521,7 +517,7 @@ def _cycle_sum_holds(k: int, total: FormalSum, loops, binding: MatrixBinding) ->
     ``sum_i (-1)^i k!/(k-i)! * (closed (k-i)-loop antisymmetrizer) * A^i``."""
     lhs = sum_function_matrix(total, binding).entries
     rhs = _poly_at(_cycle_coefficients(k, loops, binding), binding.matrix("A"))
-    return matrices.matrices_equal(lhs, rhs)
+    return lhs == rhs
 
 
 def _symmetrizer_fixture(n: int):
@@ -772,7 +768,7 @@ def _check_polarization(n: int, rng: Random, trial: int, fix) -> dict:
         total = fm if total is None else total + fm
         pol = matrices._rational(*_polar_lattice(_monomial_fn(i, lam), n, mats))
         want = matrices.mscale(count, pol)
-        if not matrices.matrices_equal(fm.entries, want):
+        if fm.entries != want:
             problems.append(f"class (i={i}, cycles={lam}) mismatch")
 
     full = total.entries
@@ -781,7 +777,7 @@ def _check_polarization(n: int, rng: Random, trial: int, fix) -> dict:
         return _poly_lattice(matrices.charpoly_fl(matrices._rational(rows, den)), rows, den)
 
     pol_full = matrices.mscale(factorial(n), matrices._rational(*_polar_lattice(tau, n, mats)))
-    if not matrices.matrices_equal(full, pol_full):
+    if full != pol_full:
         problems.append("diagram sum != n! * polarized identity")
     if not matrices.is_zero_matrix(full):
         problems.append("zero sets differ: diagram sum nonzero")
@@ -856,7 +852,9 @@ CATALOGUE: dict[str, Identity] = {
         _check_framing_independence, 3, (3,), fixture=_framing_fixture
     ),
     "functoriality": Identity(_check_functoriality, 2, (1, 2, 3)),
-    # run by the `polarize` and `pfaffian` commands rather than by `verify`
+    # run by the `polarize` and `pfaffian` commands rather than by `verify`; the
+    # diagram sum is n! times the polarized identity, so that constant is n!,
+    # while the Pfaffian's constant is measured, not asserted
     "polarization": Identity(
         _check_polarization,
         2,
@@ -956,15 +954,3 @@ def run_identity(
     return VerificationReport(
         identity, n, len(results), status, witnesses, elapsed, tuple(results), extra
     )
-
-
-def polarization_check(n: int, trials: int = 5, seed=0) -> VerificationReport:
-    """Every summand class of the multi-label diagram sum against polarization;
-    the whole sum is n! times the polarized Cayley-Hamilton identity."""
-    return run_identity("polarization", n, trials, seed)
-
-
-def pfaffian_scan(n: int, trials: int = 10, seed=0, jobs: int = 1) -> VerificationReport:
-    """Ratios of the nested-arc vertex diagram to the matching-sum Pfaffian;
-    the constant is measured, not asserted."""
-    return run_identity("pfaffian", n, trials, seed, jobs)

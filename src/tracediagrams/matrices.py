@@ -141,12 +141,6 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def matrices_equal(a: Matrix, b: Matrix) -> bool:
-    return shape(a) == shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
-
-
 def vec_dot(u: Vector, v: Vector) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatchError("dot product length mismatch")

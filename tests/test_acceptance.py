@@ -16,14 +16,11 @@ from tracediagrams import (
     coefficient,
     enumerate_colorings,
     evaluate_closed,
-    evaluate_fast_closed,
     signature,
     sum_function_matrix,
 )
 from tracediagrams import matrices as mx
 from tracediagrams.identities import (
-    pfaffian_scan,
-    polarization_check,
     random_int_matrix,
     run_identity,
     trial_rng,
@@ -121,7 +118,7 @@ def test_criterion_10_vector_and_fricke():
 
 def test_criterion_11_polarization():
     start = time.monotonic()
-    report = polarization_check(2, trials=5, seed="acc")
+    report = run_identity("polarization", 2, trials=5, seed="acc")
     ok = report.ok and report.data["constant"] == 2
     print(f"  polarization constant (dim 2): {report.data['constant']}")
     _criterion(11, "polarization of the single-matrix identity", ok, time.monotonic() - start, 30)
@@ -131,7 +128,7 @@ def test_criterion_12_pfaffian_scan():
     start = time.monotonic()
     ok = True
     for n in (2, 4):
-        report = pfaffian_scan(n, trials=14, seed="acc")
+        report = run_identity("pfaffian", n, trials=14, seed="acc")
         nonzero = report.data["samples_with_nonzero_pfaffian"]
         ok &= report.ok and nonzero >= 10
         print(f"  pfaffian ratio constant (dim {n}): {report.data['constant']}")
@@ -157,12 +154,11 @@ def test_criterion_13_fast_path_self_consistency():
             for i in range(rng.randint(0, 3))
         )
         d = TraceDiagram(n, (), edges, inputs=(), outputs=())
-        # the two closed routes share the strand walk: check each against the
-        # signed coloring sum, which is the definition
+        # closed loops take the strand walk: check it against the signed
+        # coloring sum, which is the definition
         want = sum(
             signature(d, col) * coefficient(d, col, binding)
             for col in enumerate_colorings(d)
         )
-        ok &= evaluate_fast_closed(d, binding) == want
         ok &= evaluate_closed(d, binding) == want
     _criterion(13, "fast closed path equals coloring sum", ok, time.monotonic() - start, 30)

@@ -162,6 +162,16 @@ def test_eval_empty_matrix_block_exits_2(tmp_path, capsys, tmat, err):
     assert out.out == "" and out.err == f"syntax error: {err}\n"
 
 
+def test_eval_repeated_matrix_block_exits_2(tmp_path, capsys):
+    tdg = tmp_path / "s.tdg"
+    tdg.write_text("diagram s = builtin:strand(A) @ dim 2\n", encoding="utf-8")
+    tmat = tmp_path / "m.tmat"
+    tmat.write_text("matrix A 2 2\n1 2\n3 4\nmatrix A 2 2\n5 6\n7 8\n", encoding="utf-8")
+    assert main(["eval", str(tdg), "--bind", str(tmat)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "syntax error: line 4: duplicate matrix 'A'\n"
+
+
 def test_eval_needs_diagram_choice(bound_files, capsys):
     tdg, tmat, _ = bound_files
     assert main(["eval", str(tdg), "--bind", str(tmat)]) == 2

@@ -13,7 +13,6 @@ from tracediagrams import (
     MatrixBinding,
     TraceDiagram,
     UnboundLabelError,
-    are_isomorphic,
     internal,
     leaf,
     validate,
@@ -125,30 +124,6 @@ def test_rotating_ciliation_scales_signature(n):
     flip = (-1) ** (n - 1)
     for col in enumerate_colorings(d):
         assert signature(rotated, col) == flip * signature(d, col)
-
-
-def test_isomorphic_after_relabeling():
-    d = builders.determinant_diagram(2, "A")
-    renamed = TraceDiagram(
-        d.n,
-        tuple(
-            internal(v.id.upper(), tuple(EndRef(r.edge.upper(), r.end) for r in v.ciliation))
-            for v in d.vertices
-        ),
-        tuple(Edge(e.id.upper(), e.tail.upper(), e.head.upper(), e.marking) for e in d.edges),
-        inputs=(),
-        outputs=(),
-    )
-    assert are_isomorphic(d, renamed)
-
-
-def test_isomorphism_respects_markings_and_ciliation():
-    a = builders.determinant_diagram(2, "A")
-    b = builders.determinant_diagram(2, "B")
-    assert not are_isomorphic(a, b)
-    assert not are_isomorphic(
-        builders.permutation_diagram(2, (1, 2)), builders.permutation_diagram(2, (2, 1))
-    )
 
 
 def test_formal_sum_rejects_mixed_dimensions():

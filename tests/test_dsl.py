@@ -134,6 +134,12 @@ def test_multiple_named_diagrams():
 def test_duplicate_diagram_names_rejected():
     with pytest.raises(DslSyntaxError):
         parse_diagram_set("diagram a\ndim 2\nloop e1\ndiagram a\ndim 2\nloop e1")
+    # reported at the second header of the repeated name, not at the last block
+    text = "\n".join(f"diagram {name} = builtin:id(1) @ dim 2" for name in "xxy")
+    with pytest.raises(DslSyntaxError) as info:
+        parse_diagram_set(text)
+    assert info.value.line == 2
+    assert str(info.value) == "line 2: duplicate diagram name 'x'"
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -203,6 +209,27 @@ def test_matrix_file_refuses_empty_blocks_at_their_header(text, err):
     with pytest.raises(DslSyntaxError) as info:
         parse_matrix_file(text)
     assert str(info.value) == err
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("matrix A 2 2\n1 2\n3 4\nmatrix A 2 2\n5 6\n7 8\n", "line 4: duplicate matrix 'A'"),
+        ("vector u 2\n1 2\nmatrix A 2 2\n1 0\n0 1\nvector u 2\n3 4\n",
+         "line 6: duplicate vector 'u'"),
+    ],
+    ids=["matrix", "vector"],
+)
+def test_matrix_file_refuses_a_repeated_block_at_its_second_header(text, err):
+    with pytest.raises(DslSyntaxError) as info:
+        parse_matrix_file(text)
+    assert str(info.value) == err
+
+
+def test_matrix_and_vector_may_share_a_name():
+    binding = parse_matrix_file("matrix A 2 2\n1 2\n3 4\nvector A 2\n5 6\n")
+    assert binding.matrix("A") == ((1, 2), (3, 4))
+    assert binding.vector("A") == (5, 6)
 
 
 def test_binding_dimension_mismatch_surfaces_at_evaluation():

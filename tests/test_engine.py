@@ -26,7 +26,6 @@ from tracediagrams import (
     coefficient,
     enumerate_colorings,
     evaluate_closed,
-    evaluate_fast_closed,
     function_matrix,
     leaf,
     signature,
@@ -186,10 +185,10 @@ def test_fast_closed_matches_brute_force():
             for i in range(rng.randint(0, 3))
         )
         d = TraceDiagram(n, (), edges, inputs=(), outputs=())
-        # both closed routes are the strand walk, so each is checked against
-        # the coloring definition and against the DP
+        # closed loops take the strand walk: check it against the coloring
+        # definition and against the DP
         want = _enumerated_weight(d, {}, b)
-        assert evaluate_fast_closed(d, b) == evaluate_closed(d, b) == want
+        assert evaluate_closed(d, b) == want
         assert weight(d, {}, b) == want
 
 
@@ -197,29 +196,13 @@ def test_fast_closed_basics():
     b = MatrixBinding(2, {"A": [[1, 2], [3, 4]], "B": [[0, 1], [1, 0]]})
     d = builders.trace_loop(2, ("A", "B"))
     ab = mx.matmul(b.matrix("A"), b.matrix("B"))
-    assert evaluate_fast_closed(d, b) == mx.mtrace(ab)
+    assert evaluate_closed(d, b) == mx.mtrace(ab)
     two = tensor(builders.trace_loop(2, ("A",)), builders.trace_loop(2, ("B",)))
-    assert evaluate_fast_closed(two, b) == mx.mtrace(b.matrix("A")) * mx.mtrace(
+    assert evaluate_closed(two, b) == mx.mtrace(b.matrix("A")) * mx.mtrace(
         b.matrix("B")
     )
     empty = TraceDiagram(3, (), (), inputs=(), outputs=())
-    assert evaluate_fast_closed(empty) == 1
-
-
-def test_fast_closed_needs_a_binding_for_marked_loops():
-    with pytest.raises(UnboundLabelError):
-        evaluate_fast_closed(builders.trace_loop(2, ("A",)))
-
-
-def test_fast_closed_refuses_a_binding_of_another_dimension():
-    identity3 = MatrixBinding(3, {"A": mx.identity(3)})
-    with pytest.raises(DimensionMismatchError):
-        evaluate_fast_closed(builders.trace_loop(2, ("A",)), identity3)
-
-
-def test_fast_closed_refuses_vertices():
-    with pytest.raises(DiagramStructureError):
-        evaluate_fast_closed(builders.determinant_diagram(2, "A"), binding2())
+    assert evaluate_closed(empty) == 1
 
 
 def test_function_matrix_identity_and_strand():
@@ -526,7 +509,7 @@ def test_vertex_free_evaluation_builds_no_shape():
     strand = builders.matrix_strand(3, ("A", "A"))
     loop = builders.trace_loop(3, ("A",))
     assert function_matrix(perm).cells and function_matrix(strand, b).cells
-    assert evaluate_closed(loop, b) == evaluate_fast_closed(loop, b) == 3
+    assert evaluate_closed(loop, b) == 3
     assert all("_shape" not in d.__dict__ for d in (perm, strand, loop))
     # weight keeps the DP, which indexes the diagram once and keeps the index
     weight(strand, {"in1": 1, "out1": 2}, b)
@@ -580,8 +563,21 @@ def _loop_and_strand(inputs=("a",), outputs=("z",), extra=()):
             None,
             UnboundLabelError("A"),
         ),
+        (
+            builders.trace_loop(2, ("A",)),
+            MatrixBinding(3, {"A": mx.identity(3)}),
+            DimensionMismatchError("binding dimension 3 != diagram dimension 2"),
+        ),
     ],
-    ids=["leaf-degree-2", "framing", "unbound", "dimension", "unbound-in-binding", "loop"],
+    ids=[
+        "leaf-degree-2",
+        "framing",
+        "unbound",
+        "dimension",
+        "unbound-in-binding",
+        "loop",
+        "loop-dimension",
+    ],
 )
 def test_strand_walk_raises_what_the_dp_raises(d, binding, error):
     want = (type(error), str(error))

@@ -24,10 +24,7 @@ from tracediagrams import matrices as mx
 from tracediagrams.identities import (
     VerificationReport,
     charpoly_diagrammatic,
-    marked_exchange_check,
     multiplicity_ratio_check,
-    pfaffian_scan,
-    polarization_check,
     polarize,
     random_diagram,
     run_identity,
@@ -90,10 +87,13 @@ def test_parallel_trials_match_serial():
             run_identity("det-diagram", n=2, trials=6, seed=3, jobs=1),
             run_identity("det-diagram", n=2, trials=6, seed=3, jobs=2),
         ),
-        (pfaffian_scan(4, trials=6, seed=3), pfaffian_scan(4, trials=6, seed=3, jobs=2)),
+        (
+            run_identity("pfaffian", 4, trials=6, seed=3),
+            run_identity("pfaffian", 4, trials=6, seed=3, jobs=2),
+        ),
         # the polarize command has no --jobs; its runner does
         (
-            polarization_check(2, trials=3, seed=3),
+            run_identity("polarization", 2, trials=3, seed=3),
             run_identity("polarization", n=2, trials=3, seed=3, jobs=2),
         ),
     ]
@@ -150,12 +150,8 @@ def _records_digest(report) -> str:
 
 @pytest.mark.parametrize("identity", sorted(PINNED_RECORDS))
 def test_records_are_pinned(identity):
-    if identity == "polarization":
-        report = polarization_check(2, trials=5, seed=0)
-    elif identity == "pfaffian":
-        report = pfaffian_scan(4, trials=5, seed=0)
-    else:
-        report = run_identity(identity, trials=5, seed=0)
+    # polarization and pfaffian run at their default dimensions, 2 and 4
+    report = run_identity(identity, trials=5, seed=0)
     assert _records_digest(report) == PINNED_RECORDS[identity]
 
 
@@ -210,14 +206,14 @@ def test_binding_free_failure_shows_in_every_trial(monkeypatch):
 
 
 def _exchange_mutant(monkeypatch, tamper):
-    """marked_exchange_check at n=3, k=0 with ``tamper(d, colorings)`` applied
+    """The marked exchange check at n=3, k=0 with ``tamper(d, colorings)`` applied
     to the enumerator's stream."""
     enumerate_colorings = identities.enumerate_colorings
     monkeypatch.setattr(
         identities, "enumerate_colorings", lambda d: tamper(d, list(enumerate_colorings(d)))
     )
     b = MatrixBinding(3, {"A": [[1, 2, 0], [0, 3, 1], [4, 0, 1]]})
-    return marked_exchange_check(3, 0, b)
+    return identities._exchange_holds(identities._exchange_walk(3, 0), b)
 
 
 def test_marked_exchange_fails_on_a_changed_contribution(monkeypatch):
@@ -274,7 +270,7 @@ def test_multiplicity_ratio_all_k(n):
 def test_marked_exchange_invariance():
     b = MatrixBinding(3, {"A": [[1, 2, 0], [0, 3, 1], [4, 0, 1]]})
     for k in range(3):
-        assert marked_exchange_check(3, k, b)
+        assert identities._exchange_holds(identities._exchange_walk(3, k), b)
 
 
 def test_generalized_sum_specializes_to_single_matrix():
@@ -363,7 +359,7 @@ def test_polarize_flags_inhomogeneous_function():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_polarization_check_passes(n):
-    report = polarization_check(n, trials=2, seed="unit")
+    report = run_identity("polarization", n, trials=2, seed="unit")
     assert report.ok
     assert report.data["constant"] == factorial(n)
 
@@ -407,8 +403,8 @@ def test_polarization_classes_match_a_cycle_count(n):
 
 
 def test_pfaffian_scan_consistent():
-    rep2 = pfaffian_scan(2, trials=8, seed="pf")
-    rep4 = pfaffian_scan(4, trials=8, seed="pf")
+    rep2 = run_identity("pfaffian", 2, trials=8, seed="pf")
+    rep4 = run_identity("pfaffian", 4, trials=8, seed="pf")
     assert rep2.ok and rep4.ok
     assert rep2.data["constant"] == "-2"
     assert rep4.data["constant"] == "8"
@@ -416,7 +412,7 @@ def test_pfaffian_scan_consistent():
 
 def test_pfaffian_scan_inconclusive_without_samples():
     # every skew-symmetric matrix of odd size has Pfaffian 0
-    rep = pfaffian_scan(3, trials=4, seed=0)
+    rep = run_identity("pfaffian", 3, trials=4, seed=0)
     assert rep.status == "inconclusive"
     assert rep.data["constant"] == "undetermined"
 
