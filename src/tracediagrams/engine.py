@@ -31,13 +31,16 @@ loop or a strand between two leaves, so the sum is a product of one factor per
 edge. :func:`function_matrix` and :func:`evaluate_closed`, the entries for a
 diagram's whole sum, go through one route switch, :func:`_cells`, which walks
 such a diagram's strands once in :func:`_strand_cells`, building no
-:class:`_Shape`, and hands any other diagram to the DP. Both routes start with
-one check function, :func:`_check`, so they refuse the same inputs with the
-same errors. :func:`weight` (which pins leaf labels) and
-:func:`enumerate_colorings` always use the DP's shape.
+:class:`_Shape`, and hands any other diagram to the DP, :func:`_signed_sum`.
+:func:`weight` (which pins leaf labels) and :func:`enumerate_colorings` always
+use the DP's shape. Every evaluation starts in one function, :func:`_bound`,
+which checks the diagram and binding (:func:`_check`) and then reads the
+binding, and both kernels take each edge's weighted label pairs from one
+helper, :func:`_entries`; so every route refuses the same inputs with the same
+errors and weighs an edge by the same rule.
 
-The signed sum runs on integers. Each edge's word product and each vector is
-read from the binding as integer entries over one denominator, so the sum of a
+The signed sum runs on integers. :func:`_bound` reads each edge's word product
+and each vector as integer entries over one denominator, so the sum of a
 whole diagram is an integer over the product of those denominators, divided
 once; a :class:`FunctionMatrix` keeps integer cells over one denominator.
 Sums and rational multiples of function matrices, and the function matrix of a
@@ -195,7 +198,7 @@ def _sum_cells(terms) -> FunctionMatrix:
 
 def _check(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> None:
     """Validation, then the dimension, then with no binding the sorted-first
-    label: the checks both evaluation routes make before reading the binding."""
+    label: the checks :func:`_bound` makes before reading the binding."""
     result = _validation(diagram)
     if not result.ok:
         raise DiagramStructureError("; ".join(result.violations))
@@ -206,6 +209,57 @@ def _check(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> None:
             )
     elif labels := diagram.matrix_labels() | diagram.vector_labels():
         raise UnboundLabelError(min(labels))
+
+
+def _bound(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> tuple[dict, dict, int]:
+    """After :func:`_check`, the binding's part of the diagram's sum: the
+    integer rows of each marked edge's word product by edge id, the integer
+    entries of the vector at each vector-terminated end by ``(edge id, end)``,
+    and the product of their denominators. Words are read in edge id order,
+    then vectors, tail before head, so all routes fail on one unbound label.
+    """
+    _check(diagram, binding)
+    words, vectors, den = {}, {}, 1
+    if binding is None:  # _check has found no label to read
+        return words, vectors, den
+    edges = sorted(diagram.edges, key=lambda e: e.id)
+    for e in edges:
+        if e.marking:
+            words[e.id], d = binding.edge_lattice(e.marking)
+            den *= d
+    label = {v.id: v.vector_label for v in diagram.vertices if v.vector_label is not None}
+    for e in edges if label else ():  # most diagrams have no vector leaf
+        for end, vid in ((TAIL, e.tail), (HEAD, e.head)):
+            if vid in label:
+                vectors[(e.id, end)], d = binding.vector_lattice(label[vid])
+                den *= d
+    return words, vectors, den
+
+
+def _entries(bound: tuple, n: int, eid: str, loop: bool, head=None, tail=None) -> Iterator:
+    """The nonzero ``(head label, tail label, entry)`` of edge ``eid``, labels
+    0-based: entry (head, tail) of its word (the identity when unmarked; head
+    and tail agree on a free ``loop``) times the vector entry at each
+    vector-terminated end. ``head`` or ``tail`` pins that end's label.
+    """
+    words, vectors, _ = bound
+    rows = words.get(eid)
+    hvec = tvec = None
+    if vectors:
+        hvec, tvec = vectors.get((eid, HEAD)), vectors.get((eid, TAIL))
+    for h in range(n) if head is None else (head,):
+        if rows is None or loop:
+            tails = (h,) if tail is None or tail == h else ()
+        else:
+            tails = range(n) if tail is None else (tail,)
+        for t in tails:
+            c = 1 if rows is None else rows[h][t]
+            if hvec is not None:
+                c *= hvec[h]
+            if tvec is not None:
+                c *= tvec[t]
+            if c:
+                yield h, t, c
 
 
 class _Shape:
@@ -224,7 +278,6 @@ class _Shape:
         self.edges = sorted(diagram.edges, key=lambda e: e.id)
         self.internal_ids = [v.id for v in diagram.vertices if v.kind == INTERNAL]
         self.end_vertex: dict[tuple[str, str], str] = {}
-        self.vector_end: dict[tuple[str, str], str] = {}  # end -> vector label
         self.open_end: dict[str, tuple[str, str]] = {}
         byid = {v.id: v for v in diagram.vertices}
         for e in self.edges:
@@ -235,9 +288,7 @@ class _Shape:
                 v = byid[vid]
                 if v.kind == INTERNAL:
                     self.end_vertex[(e.id, end)] = vid
-                elif v.vector_label is not None:
-                    self.vector_end[(e.id, end)] = v.vector_label
-                else:
+                elif v.vector_label is None:
                     self.open_end[vid] = (e.id, end)
 
         # The signed sum places labels edge by edge, head before tail, so each
@@ -257,12 +308,12 @@ class _Shape:
         for v in diagram.vertices:
             if v.kind == INTERNAL:
                 self.reading_sign *= perms.sign(rank[(r.edge, r.end)] for r in v.ciliation)
-        # per edge: its id, whether head and tail share one label, and per end
-        # (head first) the end's key and its vertex's bit offset or None
+        # per edge: its id, whether it is a free loop, and per end (head
+        # first) the end's key and its vertex's bit offset or None
         self.edge_ends = [
             (
                 e.id,
-                e.is_free_loop or not e.marking,
+                e.is_free_loop,
                 tuple(
                     ((e.id, end), self.slot.get(self.end_vertex.get((e.id, end))))
                     for end in (HEAD, TAIL)
@@ -341,171 +392,96 @@ def _shape(diagram: TraceDiagram) -> _Shape:
     return shape
 
 
-class _Prepared:
-    """A diagram's shape with the bound matrices and vectors it uses.
+def _signed_sum(shape: _Shape, bound: tuple, pinned: Mapping, places: Mapping) -> dict[int, int]:
+    """Sum of sign * coefficient over the colorings extending ``pinned``
+    (0-based labels), split by ``sum(places[end] * label)`` over the open ends
+    in ``places``, each sum times the denominator of ``bound`` and
+    ``shape.reading_sign``.
 
-    Matrices and vectors are integer entries over a denominator each;
-    :meth:`signed_sum` returns integers, and ``den``, the product of those
-    denominators times ``reading_sign``, is the one divisor of its result.
+    A state is one int: n bits per internal vertex holding the labels used
+    there so far, and above them the partial ``places`` index. Colorings
+    that reach the same state merge, so the cost follows the number of
+    states, not of colorings. Each placed label contributes the parity of
+    the larger labels already at its vertex, which builds the sign of the
+    placement-order reading; ``reading_sign`` turns it into the ciliation
+    reading.
     """
-
-    def __init__(self, diagram: TraceDiagram, binding: Optional[MatrixBinding]):
-        _check(diagram, binding)
-        self.shape = shape = _shape(diagram)
-        self.eff: dict[str, list[list[int]]] = {}
-        self.end_vector: dict[tuple[str, str], list[int]] = {}
-        den = shape.reading_sign
-        for e in shape.edges:
-            if e.marking:
-                self.eff[e.id], d = binding.edge_lattice(e.marking)
-                den *= d
-        for end, label in shape.vector_end.items():
-            self.end_vector[end], d = binding.vector_lattice(label)
-            den *= d
-        self.den = den
-
-    def signed_sum(
-        self,
-        pinned: Mapping[tuple[str, str], int],
-        places: Mapping[tuple[str, str], int],
-    ) -> dict[int, int]:
-        """Sum of sign * coefficient over the colorings extending ``pinned``,
-        split by ``sum(places[end] * (label at end - 1))`` over the open ends
-        in ``places``, each sum times ``den``.
-
-        A state is one int: n bits per internal vertex holding the labels used
-        there so far, and above them the partial ``places`` index. Colorings
-        that reach the same state merge, so the cost follows the number of
-        states, not of colorings. Each placed label contributes the parity of
-        the larger labels already at its vertex, which builds the sign of the
-        placement-order reading; ``reading_sign``, a factor of ``den``, turns
-        it into the ciliation reading.
-        """
-        shape = self.shape
-        shift = shape.n * len(shape.internal_ids)
-        states: dict[int, int] = {0: 1}
-        for edge in shape.edge_ends:
-            moves = self._moves(edge, pinned, places, shift)
-            grown: dict[int, int] = {}
-            for state, value in states.items():
-                for need, add, parity, pos, neg in moves:
-                    if state & need:
-                        continue
-                    key = state + add
-                    term = value * (neg if (state & parity).bit_count() & 1 else pos)
-                    if key in grown:
-                        grown[key] += term
-                    else:
-                        grown[key] = term
-            states = grown
-        return {key >> shift: v for key, v in states.items()}
-
-    def _moves(self, edge, pinned, places, shift) -> list[tuple]:
-        """The label pairs one edge may take, as (bits that must be free,
-        state increment, sign-parity mask, coefficient, -coefficient).
-
-        Pairs with the same effect on the state merge into one move with the
-        summed coefficient, and a move whose coefficient is zero is dropped;
-        a pinned end offers only its pinned label.
-        """
-        n = self.shape.n
-        eid, tied, ((hkey, hslot), (tkey, tslot)) = edge
-        want = pinned.get(hkey)
-        heads = range(1, n + 1) if want is None else (want,)
-        want = pinned.get(tkey)
-        tails = range(1, n + 1) if want is None else (want,)
-        if tied:
-            pairs = [(h, h) for h in heads if h in tails]
-        else:
-            pairs = [(h, t) for h in heads for t in tails]
-        eff = self.eff.get(eid)
-        hvec, tvec = self.end_vector.get(hkey), self.end_vector.get(tkey)
-        hplace, tplace = places.get(hkey, 0) << shift, places.get(tkey, 0) << shift
-        merged: dict[tuple[int, int, int], int] = {}
-        for h, t in pairs:
-            c = 1 if eff is None else eff[h - 1][t - 1]
-            if hvec is not None:
-                c *= hvec[h - 1]
-            if tvec is not None:
-                c *= tvec[t - 1]
-            need = parity = 0
-            if hslot is not None:
-                need = 1 << (hslot + h - 1)
-                parity = ((1 << n) - (1 << h)) << hslot
-            if tslot is not None:
-                bit = 1 << (tslot + t - 1)
-                if need & bit:  # both ends at one vertex with one label
+    shift = shape.n * len(shape.internal_ids)
+    states: dict[int, int] = {0: 1}
+    for edge in shape.edge_ends:
+        moves = _moves(shape.n, bound, edge, pinned, places, shift)
+        grown: dict[int, int] = {}
+        for state, value in states.items():
+            for need, add, parity, pos, neg in moves:
+                if state & need:
                     continue
-                larger = ((1 << n) - (1 << t)) << tslot
-                if need & larger:  # the head, at this vertex, holds a larger label
-                    c = -c
-                need |= bit
-                parity ^= larger
-            move = (need, need + hplace * (h - 1) + tplace * (t - 1), parity)
-            if move in merged:
-                merged[move] += c
-            else:
-                merged[move] = c
-        # a move whose parity mask is empty never flips its sign
-        return [(*move, c, -c if move[2] else c) for move, c in merged.items() if c]
+                key = state + add
+                term = value * (neg if (state & parity).bit_count() & 1 else pos)
+                if key in grown:
+                    grown[key] += term
+                else:
+                    grown[key] = term
+        states = grown
+    return {key >> shift: v for key, v in states.items()}
 
 
-def _strand_cells(
-    diagram: TraceDiagram,
-    binding: Optional[MatrixBinding],
-    places: Mapping[str, int],
-) -> tuple[dict[int, int], int]:
-    """:meth:`_Prepared.signed_sum` and :attr:`_Prepared.den` for a diagram
-    with no internal vertex, read off its strands: every edge is a free loop
-    or a strand between two leaves, so the sum factors. A loop gives the trace
-    of its word's integer entries (``n`` when unmarked), and a strand gives
-    its word's entries (the identity when unmarked), each times the vector
-    entry at a vector-terminated end and placed at ``sum(places[leaf] *
-    (label - 1))`` over its open leaves. The cells are the products of one
-    entry per strand. ``places`` must give each open leaf its own mixed-radix
-    place, so no two products share a cell. Lattices are read in
-    ``_Prepared``'s order, so a binding that lacks a label fails on the same
-    label.
+def _moves(n: int, bound: tuple, edge, pinned, places, shift) -> list[tuple]:
+    """The label pairs one edge may take, as (bits that must be free,
+    state increment, sign-parity mask, coefficient, -coefficient).
+
+    Pairs with the same effect on the state merge into one move with the
+    summed coefficient, and a move whose coefficient is zero is dropped.
     """
-    _check(diagram, binding)
-    n = diagram.n
-    scalar, den, strands = 1, 1, []
-    for e in sorted(diagram.edges, key=lambda e: e.id):
-        rows = None
-        if e.marking:
-            rows, d = binding.edge_lattice(e.marking)
-            den *= d
-        if e.tail is not None:
-            strands.append((rows, e.head, e.tail))
-        elif rows is None:
-            scalar *= n
+    eid, loop, ((hkey, hslot), (tkey, tslot)) = edge
+    hplace, tplace = places.get(hkey, 0) << shift, places.get(tkey, 0) << shift
+    merged: dict[tuple[int, int, int], int] = {}
+    for h, t, c in _entries(bound, n, eid, loop, pinned.get(hkey), pinned.get(tkey)):
+        need = parity = 0
+        if hslot is not None:
+            need = 1 << (hslot + h)
+            parity = ((1 << n) - (2 << h)) << hslot
+        if tslot is not None:
+            bit = 1 << (tslot + t)
+            if need & bit:  # both ends at one vertex with one label
+                continue
+            larger = ((1 << n) - (2 << t)) << tslot
+            if need & larger:  # the head, at this vertex, holds a larger label
+                c = -c
+            need |= bit
+            parity ^= larger
+        move = (need, need + hplace * h + tplace * t, parity)
+        if move in merged:
+            merged[move] += c
         else:
-            scalar *= sum(row[i] for i, row in enumerate(rows))
-    vector = {v.id: v.vector_label for v in diagram.vertices if v.vector_label is not None}
+            merged[move] = c
+    # a move whose parity mask is empty never flips its sign
+    return [(*move, c, -c if move[2] else c) for move, c in merged.items() if c]
+
+
+def _strand_cells(diagram: TraceDiagram, bound: tuple, places: Mapping[str, int]) -> dict:
+    """:func:`_signed_sum` for a diagram with no internal vertex, read off its
+    strands: every edge is a free loop or a strand between two leaves, so the
+    sum factors. A loop gives the sum of its entries, the trace of its word.
+    A strand's entries are placed at ``sum(places[leaf] * label)`` over its
+    open leaves, and the cells are the products of one entry per strand.
+    ``places`` must give each open leaf its own mixed-radix place, so no two
+    products share a cell.
+    """
+    scalar, strands = 1, []
+    for e in diagram.edges:
+        if e.is_free_loop:
+            scalar *= sum(c for _, _, c in _entries(bound, diagram.n, e.id, True))
+        else:
+            strands.append(e)
     cells = {0: scalar} if scalar else {}
-    for rows, head, tail in strands:
-        ends = []
-        for vid in (tail, head):
-            if vid in vector:
-                entries, d = binding.vector_lattice(vector[vid])
-                den *= d
-                ends.append((entries, 0))
-            else:
-                ends.append((None, places.get(vid, 0)))
-        (tvec, tplace), (hvec, hplace) = ends
+    for e in strands:
+        hplace, tplace = places.get(e.head, 0), places.get(e.tail, 0)
         part: dict[int, int] = {}
-        for h in range(n):
-            for t in range(n) if rows else (h,):
-                c = rows[h][t] if rows else 1
-                if hvec is not None:
-                    c *= hvec[h]
-                if tvec is not None:
-                    c *= tvec[t]
-                if c:
-                    key = h * hplace + t * tplace
-                    part[key] = part.get(key, 0) + c
+        for h, t, c in _entries(bound, diagram.n, e.id, False):
+            key = h * hplace + t * tplace
+            part[key] = part.get(key, 0) + c
         cells = {i + j: x * y for i, x in cells.items() for j, y in part.items() if y}
-    return cells, den
+    return cells
 
 
 def enumerate_colorings(
@@ -560,15 +536,16 @@ def weight(
     binding: Optional[MatrixBinding] = None,
 ) -> Fraction:
     """Signed sum of coefficients over all colorings extending a total leaf coloring."""
-    prep = _Prepared(diagram, binding)
-    open_end = prep.shape.open_end
-    if set(leaf_coloring) != set(open_end):
+    bound = _bound(diagram, binding)
+    shape = _shape(diagram)
+    if set(leaf_coloring) != set(shape.open_end):
         raise LeafColoringError(
             "leaf coloring must cover exactly the open leaves: "
-            f"got {sorted(leaf_coloring)}, expected {sorted(open_end)}"
+            f"got {sorted(leaf_coloring)}, expected {sorted(shape.open_end)}"
         )
-    pinned = prep.shape.pin_leaves(leaf_coloring)
-    return Fraction(prep.signed_sum(pinned, {}).get(0, 0), prep.den)
+    pinned = {end: label - 1 for end, label in shape.pin_leaves(leaf_coloring).items()}
+    value = _signed_sum(shape, bound, pinned, {}).get(0, 0)
+    return Fraction(value, bound[2] * shape.reading_sign)
 
 
 def _cells(
@@ -578,11 +555,13 @@ def _cells(
 ) -> tuple[dict[int, int], int]:
     """``(cells, den)`` of the diagram's signed sum, nonzero cells only: the
     strand walk for a diagram without an internal vertex, the DP otherwise."""
+    bound = _bound(diagram, binding)
     if all(v.kind != INTERNAL for v in diagram.vertices):
-        return _strand_cells(diagram, binding, places)
-    prep = _Prepared(diagram, binding)
-    ends = {prep.shape.open_end[vid]: place for vid, place in places.items()}
-    return {idx: x for idx, x in prep.signed_sum({}, ends).items() if x}, prep.den
+        return _strand_cells(diagram, bound, places), bound[2]
+    shape = _shape(diagram)
+    ends = {shape.open_end[vid]: place for vid, place in places.items()}
+    cells = _signed_sum(shape, bound, {}, ends)
+    return {idx: x for idx, x in cells.items() if x}, bound[2] * shape.reading_sign
 
 
 def evaluate_closed(

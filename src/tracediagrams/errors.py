@@ -40,10 +40,9 @@ class HomogeneityError(TraceDiagramError):
 
 
 class DslSyntaxError(TraceDiagramError):
-    def __init__(self, message: str, line: int, column: int = 0):
+    def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 class InexactValueError(TraceDiagramError):

@@ -390,7 +390,16 @@ def test_engine_matches_enumerator_on_random_diagrams(n, n_in, n_out, seed):
     assume(not (n % 2 == 0 and (n_in + n_out) % 2))
     rng = Random(seed)
     d = random_diagram(rng, n, n_in, n_out)
-    _assert_engine_matches_enumerator(d, _random_binding(rng, n), rng)
+    # about half the open leaves end in vector u or v instead
+    vec = {vid: rng.choice("uv") for vid in d.open_leaves() if rng.randrange(2)}
+    d = TraceDiagram(
+        n,
+        tuple(leaf(v.id, vec[v.id]) if v.id in vec else v for v in d.vertices),
+        d.edges,
+        inputs=tuple(vid for vid in d.inputs if vid not in vec),
+        outputs=tuple(vid for vid in d.outputs if vid not in vec),
+    )
+    _assert_engine_matches_enumerator(d, _random_binding(rng, n, "uv"), rng)
 
 
 @pytest.mark.parametrize(
@@ -559,6 +568,11 @@ def _loop_and_strand(inputs=("a",), outputs=("z",), extra=()):
             UnboundLabelError("B"),
         ),
         (
+            _loop_and_strand(),
+            MatrixBinding(3, {"A": mx.identity(3), "B": mx.identity(3)}),
+            UnboundLabelError("v"),
+        ),
+        (
             TraceDiagram(3, (), (Edge("c", None, None, ("B", "A")),), (), ()),
             None,
             UnboundLabelError("A"),
@@ -575,6 +589,7 @@ def _loop_and_strand(inputs=("a",), outputs=("z",), extra=()):
         "unbound",
         "dimension",
         "unbound-in-binding",
+        "missing-vector",
         "loop",
         "loop-dimension",
     ],

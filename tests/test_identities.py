@@ -81,6 +81,13 @@ def test_run_identity_rejects_unknown_or_bad_dim():
         run_identity("binor", n=2)
 
 
+def test_binor_fixture_compares_the_weight_route(monkeypatch):
+    # the fixture, which every trial reports, recomputes each entry by weights
+    monkeypatch.setattr(algebra, "weight", lambda *args: Fraction(1))
+    with pytest.raises(TraceDiagramError, match="routes disagree"):
+        run_identity("binor", trials=2)
+
+
 def test_parallel_trials_match_serial():
     pairs = [
         (
