@@ -8,7 +8,9 @@ vertices have degree 1 or n only). A fused wire needs its marked segments to
 run in one direction; gluing two marked segments head-to-head is rejected
 rather than silently transposing anything.
 
-A formal sum is evaluated term by term, each term through the engine. Sums
+A formal sum is evaluated term by term, each term through the engine, which
+takes a builder's strand-form term as it is; composition, reframing and the
+per-basis route of :func:`is_relation` build that term's diagram. Sums
 whose terms repeat are built with one term per class instead: the
 Cayley-Hamilton sums with equal labels come from ``builders.ch_classes`` and
 ``builders.loop_classes``.
@@ -207,7 +209,7 @@ def _as_sum(x: DiagramOrSum) -> FormalSum:
 def compose_sums(top: DiagramOrSum, bottom: DiagramOrSum) -> FormalSum:
     """Bilinear extension of composition to formal sums."""
     terms = [
-        (ct * cb, compose(dt, db))
+        (ct * cb, compose(dt.diagram(), db.diagram()))
         for ct, dt in _as_sum(top).terms
         for cb, db in _as_sum(bottom).terms
     ]
@@ -224,6 +226,7 @@ def reframe_positions(s: DiagramOrSum, input_positions, output_positions) -> For
     output_positions = tuple(output_positions)
     out_terms = []
     for c, d in _as_sum(s).terms:
+        d = d.diagram()
         ordered = tuple(d.inputs) + tuple(d.outputs)
         if sorted(input_positions + output_positions) != list(range(len(ordered))):
             raise FramingError("positions must partition the framed leaves")
@@ -305,12 +308,13 @@ def is_relation(
                 index_tensor(idx % cols, n, fm.input_arity),
             )
     if mode == "all-bases":
+        terms = [(coeff, d.diagram()) for coeff, d in fs.terms]
         for r in range(n**fm.output_arity):
             beta = index_tensor(r, n, fm.output_arity)
             for c in range(cols):
                 alpha = index_tensor(c, n, fm.input_arity)
                 entry = Fraction(0)
-                for coeff, d in fs.terms:
+                for coeff, d in terms:
                     leaf_coloring = dict(zip(d.inputs, alpha))
                     leaf_coloring.update(zip(d.outputs, beta))
                     entry += coeff * weight(d, leaf_coloring, binding)

@@ -15,7 +15,8 @@ Ciliation conventions are pinned here once and guarded by tests:
 
 The antisymmetrizer, :func:`ch_diagram`, :func:`antisym_closed_loops` and
 :func:`fricke_sum` are one signed sum over S_k, :func:`_signed_sum`, of their
-summands; each closed summand is one cycle walk in :func:`closure_diagram`.
+summands, each a strand form (``diagram._Strands``) that :func:`_permutation`
+wires or one cycle walk in :func:`_closure` closes, never a validated diagram.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .diagram import (
     EndRef,
     FormalSum,
     TraceDiagram,
+    _Strands,
     internal,
     leaf,
 )
@@ -49,43 +51,30 @@ def identity_strands(n: int, k: int) -> TraceDiagram:
     return permutation_diagram(n, tuple(range(1, k + 1)))
 
 
+def _permutation(n: int, images) -> _Strands:
+    """Unmarked strands ``s<i>`` from input i to output images[i-1], as a strand form."""
+    k = len(images)
+    strands = tuple((f"s{i}", (), ("in", i), ("out", j)) for i, j in enumerate(images, 1))
+    return _Strands(n, (k, k), strands, ())
+
+
 def permutation_diagram(n: int, images) -> TraceDiagram:
     """Unmarked strands connecting input i to output images[i-1]."""
     images = tuple(images)
     k = len(images)
     if sorted(images) != list(range(1, k + 1)):
         raise DiagramStructureError(f"{images} is not a permutation of 1..{k}")
-    vertices = [leaf(f"in{i}") for i in range(1, k + 1)]
-    vertices += [leaf(f"out{i}") for i in range(1, k + 1)]
-    edges = [
-        Edge(f"s{i}", tail=f"in{i}", head=f"out{images[i - 1]}")
-        for i in range(1, k + 1)
-    ]
-    return TraceDiagram(
-        n,
-        tuple(vertices),
-        tuple(edges),
-        inputs=tuple(f"in{i}" for i in range(1, k + 1)),
-        outputs=tuple(f"out{i}" for i in range(1, k + 1)),
-    )
+    return _permutation(n, images).diagram()
 
 
 def matrix_strand(n: int, word) -> TraceDiagram:
     """Single strand marked by a word of labels, first label nearest the output."""
-    return TraceDiagram(
-        n,
-        (leaf("in1"), leaf("out1")),
-        (Edge("s1", tail="in1", head="out1", marking=tuple(word)),),
-        inputs=("in1",),
-        outputs=("out1",),
-    )
+    return _Strands(n, (1, 1), (("s1", tuple(word), ("in", 1), ("out", 1)),), ()).diagram()
 
 
 def trace_loop(n: int, word) -> TraceDiagram:
     """Free loop marked by a word; its closed value is the trace of the product."""
-    return TraceDiagram(
-        n, (), (Edge("c1", None, None, tuple(word)),), inputs=(), outputs=()
-    )
+    return _Strands(n, (0, 0), (), (("c1", tuple(word)),)).diagram()
 
 
 def _signed_sum(k: int, build) -> FormalSum:
@@ -99,7 +88,7 @@ def _signed_sum(k: int, build) -> FormalSum:
 def antisymmetrizer(n: int, k: int) -> FormalSum:
     """Signed sum over all wire permutations of k strands."""
     _check_strand_count(k)
-    return _signed_sum(k, lambda img: permutation_diagram(n, img))
+    return _signed_sum(k, lambda img: _permutation(n, img))
 
 
 def two_node_pair(n: int, k: int, shared_markings) -> TraceDiagram:
@@ -171,30 +160,14 @@ def two_node_antisym(n: int, k: int) -> TraceDiagram:
     return two_node_pair(n, k, ((),) * (n - k))
 
 
-def closure_diagram(
-    n: int,
-    images,
-    closure_labels: dict[int, str],
-    open_strand: int | None = None,
-    open_top_mark: str | None = None,
-) -> TraceDiagram:
-    """One permutation summand with strands closed through marked arcs.
-
-    ``images`` permutes strand positions (input i meets output images[i-1]);
-    every strand except ``open_strand`` is closed by an arc marked with its
-    entry in ``closure_labels``. The result collapses to a single open strand
-    (when ``open_strand`` is set) plus one free loop per leftover cycle. Each
-    cycle is walked once: the open strand's first, so its edge ``s1`` comes
-    first, then the loops ``c1, c2, ...`` in order of their smallest point.
-    """
-    images = tuple(images)
+def _closure(n: int, images, closure_labels, open_strand=None, open_top_mark=None) -> _Strands:
+    """:func:`closure_diagram` as a strand form: each cycle of ``images`` is
+    walked once, the open strand's first, so its edge ``s1`` is the one
+    strand, then the loops ``c1, c2, ...`` in order of their smallest point."""
     first = () if open_strand is None else (open_strand,)
     visited: set[int] = set()
-    vertices: tuple = ()
-    edges = []
-    inputs: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
-    loops = 0
+    strands: tuple = ()
+    loops = []
     for start in (*first, *range(1, len(images) + 1)):
         if start in visited:
             continue
@@ -207,14 +180,22 @@ def closure_diagram(
         if start == open_strand:
             if open_top_mark is not None:
                 word = (open_top_mark, *word)
-            vertices = (leaf("in1"), leaf("out1"))
-            edges.append(Edge("s1", tail="in1", head="out1", marking=word))
-            inputs, outputs = ("in1",), ("out1",)
+            strands = (("s1", word, ("in", 1), ("out", 1)),)
         else:
-            loops += 1
-            edges.append(Edge(f"c{loops}", None, None, (closure_labels[start], *word)))
+            loops.append((f"c{len(loops) + 1}", (closure_labels[start], *word)))
+    return _Strands(n, (len(strands), len(strands)), strands, tuple(loops))
 
-    return TraceDiagram(n, vertices, tuple(edges), inputs=inputs, outputs=outputs)
+
+def closure_diagram(n: int, images, closure_labels, open_strand=None, open_top_mark=None):
+    """One permutation summand with strands closed through marked arcs.
+
+    ``images`` permutes strand positions (input i meets output images[i-1]);
+    every strand except ``open_strand`` is closed by an arc marked with its
+    entry in ``closure_labels``. The result, the diagram of :func:`_closure`'s
+    form, collapses to one open strand (when ``open_strand`` is set) plus one
+    free loop per leftover cycle.
+    """
+    return _closure(n, tuple(images), closure_labels, open_strand, open_top_mark).diagram()
 
 
 def ch_diagram(n: int, labels) -> FormalSum:
@@ -223,7 +204,7 @@ def ch_diagram(n: int, labels) -> FormalSum:
     labels = tuple(labels)
     m = len(labels)
     closure = {j: labels[j - 2] for j in range(2, m + 2)}
-    return _signed_sum(m + 1, lambda img: closure_diagram(n, img, closure, open_strand=1))
+    return _signed_sum(m + 1, lambda img: _closure(n, img, closure, open_strand=1))
 
 
 def antisym_closed_loops(n: int, labels) -> FormalSum:
@@ -235,7 +216,7 @@ def antisym_closed_loops(n: int, labels) -> FormalSum:
     labels = tuple(labels)
     m = len(labels)
     closure = {j: labels[j - 1] for j in range(1, m + 1)}
-    return _signed_sum(m, lambda img: closure_diagram(n, img, closure))
+    return _signed_sum(m, lambda img: _closure(n, img, closure))
 
 
 def _partitions(k: int, largest: int | None = None):
@@ -273,7 +254,7 @@ def ch_classes(n: int, label: str, m: int) -> FormalSum:
     terms = [
         (
             _class_coefficient(m, lam),
-            closure_diagram(n, _cycle_images((i + 1, *lam)), closure, open_strand=1),
+            _closure(n, _cycle_images((i + 1, *lam)), closure, open_strand=1),
         )
         for i in range(m + 1)
         for lam in _partitions(m - i)
@@ -286,7 +267,7 @@ def loop_classes(n: int, label: str, m: int) -> FormalSum:
     diagram per cycle type lam of m, as in :func:`ch_classes`."""
     closure = dict.fromkeys(range(1, m + 1), label)
     terms = [
-        (_class_coefficient(m, lam), closure_diagram(n, _cycle_images(lam), closure))
+        (_class_coefficient(m, lam), _closure(n, _cycle_images(lam), closure))
         for lam in _partitions(m)
     ]
     return FormalSum(tuple(terms))
@@ -296,7 +277,7 @@ def fricke_sum(a_label: str, b_label: str, c_label: str) -> FormalSum:
     """The 2x2 six-summand relation with an open strand marked ``a`` on top and
     loop closures for ``b`` and ``c``."""
     closure = {2: b_label, 3: c_label}
-    return _signed_sum(3, lambda img: closure_diagram(2, img, closure, 1, a_label))
+    return _signed_sum(3, lambda img: _closure(2, img, closure, 1, a_label))
 
 
 def fricke_traced_sum(a_label: str, b_label: str, c_label: str) -> FormalSum:

@@ -72,16 +72,11 @@ def _cmd_eval(args) -> int:
             for v in result.violations:
                 print(f"invalid diagram: {v}", file=sys.stderr)
             return 2
-        if entity.is_closed():
-            print(evaluate_closed(entity, binding))
-        else:
-            print(_matrix_text(function_matrix(entity, binding)))
-    else:
-        terms_closed = all(d.is_closed() for _, d in entity.terms)
-        if terms_closed:
-            print(sum_closed_value(entity, binding))
-        else:
-            print(_matrix_text(sum_function_matrix(entity, binding)))
+        closed, value, matrix = entity.is_closed(), evaluate_closed, function_matrix
+    else:  # a builder's sum holds strand forms, which the engine takes as they are
+        closed = all(d.is_closed() for _, d in entity.terms)
+        value, matrix = sum_closed_value, sum_function_matrix
+    print(value(entity, binding) if closed else _matrix_text(matrix(entity, binding)))
     return 0
 
 

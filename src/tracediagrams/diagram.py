@@ -10,18 +10,23 @@ which case a framing assigns it to the ordered inputs or outputs of the
 diagram, or it is terminated by a vector label, which contracts that end
 against a bound vector during evaluation.
 
-Everything here is a frozen dataclass: diagrams can be shared freely between
-threads or processes, and two compare equal only when their ids agree too.
+Everything here is immutable: diagrams can be shared freely between threads
+or processes, and two compare equal only when their ids agree too.
+
+A diagram without an internal vertex also has a strand form, :class:`_Strands`,
+all the engine's strand walk reads; the permutation builders emit their
+summands in it. :meth:`_Strands.diagram` and :meth:`_Strands.of` convert.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import matrices
 from .errors import (
+    DiagramStructureError,
     DimensionMismatchError,
     InadmissibleColoringError,
     UnboundLabelError,
@@ -94,6 +99,10 @@ class TraceDiagram:
     def framed(self) -> bool:
         return self.inputs is not None and self.outputs is not None
 
+    @property
+    def arity(self) -> tuple[int, int]:
+        return len(self.inputs or ()), len(self.outputs or ())
+
     def vertex(self, vid: str) -> Vertex:
         for v in self.vertices:
             if v.id == vid:
@@ -126,15 +135,57 @@ class TraceDiagram:
         """No open leaf ends; vector-terminated leaves carry no free index."""
         return not self.open_leaves()
 
-    def matrix_labels(self) -> set[str]:
-        return {lab for e in self.edges for lab in e.marking}
+    def diagram(self) -> "TraceDiagram":
+        """The diagram itself, as :meth:`_Strands.diagram` gives a form's."""
+        return self
 
-    def vector_labels(self) -> set[str]:
-        return {
-            v.vector_label
-            for v in self.vertices
-            if v.kind == LEAF and v.vector_label is not None
+
+class _Strands(NamedTuple):
+    """A diagram's edges as the engine reads them: each free loop as ``(edge
+    id, word)``, any other edge as ``(edge id, word, tail end, head end)``,
+    an end being ``("in", i)``, ``("out", j)`` (the i-th input or j-th output
+    from 1), ``("vec", label)`` or ``("", vertex id)``. Without an internal
+    vertex it is the strand form, all the strand walk reads, and never validated."""
+
+    n: int
+    arity: tuple[int, int]  # inputs, outputs
+    strands: tuple
+    loops: tuple
+    framed = True
+
+    @classmethod
+    def of(cls, diagram: TraceDiagram) -> "_Strands":
+        """The form of a diagram that :func:`validate` passes, its open leaves framed."""
+        result = _validation(diagram)
+        if not result.ok:
+            raise DiagramStructureError("; ".join(result.violations))
+        ends = {
+            v.id: ("", v.id) if v.vector_label is None else ("vec", v.vector_label)
+            for v in diagram.vertices
         }
+        ends.update((vid, ("in", i)) for i, vid in enumerate(diagram.inputs or (), 1))
+        ends.update((vid, ("out", j)) for j, vid in enumerate(diagram.outputs or (), 1))
+        strands = tuple(
+            (e.id, e.marking, ends[e.tail], ends[e.head]) for e in diagram.edges if e.tail in ends
+        )
+        loops = tuple((e.id, e.marking) for e in diagram.edges if e.is_free_loop)
+        return cls(diagram.n, diagram.arity, strands, loops)
+
+    def is_closed(self) -> bool:
+        return self.arity == (0, 0)
+
+    def diagram(self) -> TraceDiagram:
+        """The diagram: leaves ``in<i>``, ``out<j>`` and, per vector end, ``<edge
+        id>.t`` or ``.h``; edges strands first."""
+        ins = [f"in{i}" for i in range(1, self.arity[0] + 1)]
+        outs = [f"out{j}" for j in range(1, self.arity[1] + 1)]
+        vertices, edges = [leaf(vid) for vid in ins + outs], []
+        for eid, word, *ends in self.strands:
+            vids = [f"{eid}.{t}" if k == "vec" else f"{k}{x}" for t, (k, x) in zip("th", ends)]
+            vertices += [leaf(vid, x) for vid, (k, x) in zip(vids, ends) if k == "vec"]
+            edges.append(Edge(eid, *vids, word))
+        edges += [Edge(eid, None, None, word) for eid, word in self.loops]
+        return TraceDiagram(self.n, tuple(vertices), tuple(edges), tuple(ins), tuple(outs))
 
 
 @dataclass(frozen=True)
@@ -207,17 +258,19 @@ def validate(diagram: TraceDiagram) -> ValidationResult:
     return ValidationResult(tuple(bad))
 
 
-def _validation(diagram: TraceDiagram) -> ValidationResult:
-    """:func:`validate`'s result, kept on the diagram after the first call.
+def _kept(diagram: TraceDiagram, key: str, build):
+    """``build(diagram)``, kept on the (immutable) diagram under ``key`` after the first call."""
+    value = diagram.__dict__.get(key)
+    if value is None:
+        value = build(diagram)
+        object.__setattr__(diagram, key, value)
+    return value
 
-    Diagrams are immutable, so it stays valid; the engine's shape and the CLI
-    both read this one result.
-    """
-    result = diagram.__dict__.get("_validation")
-    if result is None:
-        result = validate(diagram)
-        object.__setattr__(diagram, "_validation", result)
-    return result
+
+def _validation(diagram: TraceDiagram) -> ValidationResult:
+    """:func:`validate`'s result, kept on the diagram: the engine and the CLI
+    read this one result."""
+    return _kept(diagram, "_validation", validate)
 
 
 @dataclass(frozen=True)
@@ -264,22 +317,21 @@ def vertex_permutation(
 class FormalSum:
     """Rational linear combination of diagrams.
 
-    ``terms`` stay as built; evaluation (``algebra.sum_function_matrix``,
-    ``algebra.sum_closed_value``) takes them one by one, so sums with equal
-    terms are built one term per class (``builders.ch_classes``).
+    A term is a :class:`TraceDiagram` or, in a builder's permutation sum, a
+    strand form (:class:`_Strands`); where a diagram is needed, the term's
+    ``diagram()`` builds it. ``terms`` stay as built; evaluation
+    (``algebra.sum_function_matrix``, ``algebra.sum_closed_value``) takes
+    them one by one, so sums with equal terms are built one term per class
+    (``builders.ch_classes``).
     """
 
-    terms: tuple[tuple[Fraction, TraceDiagram], ...]
+    terms: tuple[tuple[Fraction, TraceDiagram | _Strands], ...]
 
     def __post_init__(self):
         dims = {d.n for _, d in self.terms}
         if len(dims) > 1:
             raise DimensionMismatchError("formal sum mixes dimensions")
-        arities = {
-            (len(d.inputs or ()), len(d.outputs or ()))
-            for _, d in self.terms
-            if d.framed
-        }
+        arities = {d.arity for _, d in self.terms if d.framed}
         if len(arities) > 1:
             raise DimensionMismatchError("formal sum mixes framing arities")
 
@@ -318,7 +370,8 @@ class MatrixBinding:
     _word_products: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # marking word (a tuple) or vector label (a str) -> (integer rows, denominator)
+    # marking word (a tuple) or vector label (a str) -> (integer rows, denominator),
+    # (word, loop) -> (nonzero entries, denominator)
     _lattices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -382,6 +435,18 @@ class MatrixBinding:
                 lattice = (matrices._product(a, b), da * db)
             self._lattices[marking] = lattice
         return lattice
+
+    def edge_entries(self, marking: tuple[str, ...], loop: bool) -> tuple[tuple, int]:
+        """:meth:`edge_lattice` as its nonzero ``(head, tail, entry)``, labels
+        0-based, over its denominator; on a free ``loop``, whose head and tail
+        are one point, the diagonal ones. Kept on the binding, like it."""
+        entries = self._lattices.get((marking, loop))
+        if entries is None:
+            rows, den = self.edge_lattice(marking)
+            table = [(h, t, x) for h, row in enumerate(rows) for t, x in enumerate(row) if x]
+            entries = (tuple(e for e in table if not loop or e[0] == e[1]), den)
+            self._lattices[(marking, loop)] = entries
+        return entries
 
     def vector_lattice(self, label: str) -> tuple[list[int], int]:
         """:meth:`vector` as integer entries over one positive denominator."""

@@ -309,7 +309,9 @@ def parse_diagram(text: str) -> TraceDiagram:
 
 
 def serialize_diagram(diagram: TraceDiagram, name: Optional[str] = None) -> str:
-    """Canonical text: entities sorted by id, explicit end suffixes, LF lines."""
+    """Canonical text: entities sorted by id, explicit end suffixes, LF lines;
+    a formal sum's strand-form term is written as its diagram."""
+    diagram = diagram.diagram()
     out = []
     if name is not None:
         out.append(f"diagram {name}")

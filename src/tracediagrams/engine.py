@@ -28,21 +28,22 @@ the definition itself, and the tests compare the two.
 
 A diagram without an internal vertex needs none of this: every edge is a free
 loop or a strand between two leaves, so the sum is a product of one factor per
-edge. :func:`function_matrix` and :func:`evaluate_closed`, the entries for a
-diagram's whole sum, go through one route switch, :func:`_cells`, which walks
-such a diagram's strands once in :func:`_strand_cells`, building no
-:class:`_Shape`, and hands any other diagram to the DP, :func:`_signed_sum`.
-:func:`weight` (which pins leaf labels) and :func:`enumerate_colorings` always
-use the DP's shape. Every evaluation starts in one function, :func:`_bound`,
-which checks the diagram and binding (:func:`_check`) and then reads the
-binding, and both kernels take each edge's weighted label pairs from one
-helper, :func:`_entries`; so every route refuses the same inputs with the same
-errors and weighs an edge by the same rule.
+edge. :func:`function_matrix` and :func:`evaluate_closed` take a diagram or
+a strand form (``diagram._Strands``, the builders' permutation summands) and
+go through one route switch, :func:`_cells`: a form, or a diagram without an
+internal vertex once ``_Strands.of`` has validated and converted it (the form
+is kept on the diagram, as :func:`_shape` keeps the DP's index), is walked
+in :func:`_strand_cells`, building no :class:`_Shape`; any other diagram goes
+to the DP, :func:`_signed_sum`, as in :func:`weight` (which pins leaf labels).
+Every route reads the binding in one function, :func:`_bound`, and takes each
+edge's weighted label pairs from one helper, :func:`_entries`, so all refuse
+the same inputs with the same errors and weigh an edge by the same rule.
 
 The signed sum runs on integers. :func:`_bound` reads each edge's word product
-and each vector as integer entries over one denominator, so the sum of a
-whole diagram is an integer over the product of those denominators, divided
-once; a :class:`FunctionMatrix` keeps integer cells over one denominator.
+(its nonzero entries, kept on the binding as a table) and each vector as
+integers over one denominator, so the sum of a whole diagram is an integer
+over the product of those denominators, divided once; a
+:class:`FunctionMatrix` keeps integer cells over one denominator.
 Sums and rational multiples of function matrices, and the function matrix of a
 formal sum, add such cells in one loop, :func:`_sum_cells`.
 ``Fraction`` is the type every public function returns. The reference
@@ -69,11 +70,11 @@ from .diagram import (
     Coloring,
     MatrixBinding,
     TraceDiagram,
-    _validation,
+    _kept,
+    _Strands,
     vertex_permutation,
 )
 from .errors import (
-    DiagramStructureError,
     DimensionMismatchError,
     FramingError,
     LeafColoringError,
@@ -196,70 +197,57 @@ def _sum_cells(terms) -> FunctionMatrix:
     return FunctionMatrix(*shape, {idx: x for idx, x in total.items() if x}, den)
 
 
-def _check(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> None:
-    """Validation, then the dimension, then with no binding the sorted-first
-    label: the checks :func:`_bound` makes before reading the binding."""
-    result = _validation(diagram)
-    if not result.ok:
-        raise DiagramStructureError("; ".join(result.violations))
-    if binding is not None:
-        if binding.n != diagram.n:
-            raise DimensionMismatchError(
-                f"binding dimension {binding.n} != diagram dimension {diagram.n}"
-            )
-    elif labels := diagram.matrix_labels() | diagram.vector_labels():
-        raise UnboundLabelError(min(labels))
-
-
-def _bound(diagram: TraceDiagram, binding: Optional[MatrixBinding]) -> tuple[dict, dict, int]:
-    """After :func:`_check`, the binding's part of the diagram's sum: the
-    integer rows of each marked edge's word product by edge id, the integer
-    entries of the vector at each vector-terminated end by ``(edge id, end)``,
+def _bound(form: _Strands, binding: Optional[MatrixBinding]) -> tuple[dict, dict, int]:
+    """After the dimension (with no binding, the sorted-first label), the
+    binding's part of a sum over the form's edges: each marked word's nonzero
+    entries by edge id, each vector's integer entries by ``(edge id, end)``,
     and the product of their denominators. Words are read in edge id order,
-    then vectors, tail before head, so all routes fail on one unbound label.
-    """
-    _check(diagram, binding)
+    then vectors, tail before head, so all routes fail on one unbound label."""
+    n, edges = form.n, sorted(form.strands + form.loops)
+    vecs = sorted(  # (edge id, 0 at the tail or 1 at the head, label)
+        [(eid, 0, t[1]) for eid, _, t, _ in form.strands if t[0] == "vec"]
+        + [(eid, 1, h[1]) for eid, _, _, h in form.strands if h[0] == "vec"]
+    )
+    if binding is None:
+        if vecs or any(e[1] for e in edges):
+            raise UnboundLabelError(min({x for e in edges for x in e[1]} | {v[2] for v in vecs}))
+        return {}, {}, 1
+    if binding.n != n:
+        raise DimensionMismatchError(f"binding dimension {binding.n} != diagram dimension {n}")
     words, vectors, den = {}, {}, 1
-    if binding is None:  # _check has found no label to read
-        return words, vectors, den
-    edges = sorted(diagram.edges, key=lambda e: e.id)
-    for e in edges:
-        if e.marking:
-            words[e.id], d = binding.edge_lattice(e.marking)
+    for e in edges:  # a free loop is (edge id, word)
+        if e[1]:
+            words[e[0]], d = binding.edge_entries(e[1], len(e) == 2)
             den *= d
-    label = {v.id: v.vector_label for v in diagram.vertices if v.vector_label is not None}
-    for e in edges if label else ():  # most diagrams have no vector leaf
-        for end, vid in ((TAIL, e.tail), (HEAD, e.head)):
-            if vid in label:
-                vectors[(e.id, end)], d = binding.vector_lattice(label[vid])
-                den *= d
+    for eid, k, label in vecs:
+        vectors[(eid, (TAIL, HEAD)[k])], d = binding.vector_lattice(label)
+        den *= d
     return words, vectors, den
 
 
-def _entries(bound: tuple, n: int, eid: str, loop: bool, head=None, tail=None) -> Iterator:
+def _entries(bound: tuple, n: int, eid: str, head=None, tail=None):
     """The nonzero ``(head label, tail label, entry)`` of edge ``eid``, labels
-    0-based: entry (head, tail) of its word (the identity when unmarked; head
-    and tail agree on a free ``loop``) times the vector entry at each
-    vector-terminated end. ``head`` or ``tail`` pins that end's label.
+    0-based: its word's entries from :func:`_bound` (the identity when
+    unmarked) times the vector entry at each vector-terminated end. ``head``
+    or ``tail`` pins that end's label.
     """
     words, vectors, _ = bound
-    rows = words.get(eid)
-    hvec = tvec = None
-    if vectors:
-        hvec, tvec = vectors.get((eid, HEAD)), vectors.get((eid, TAIL))
-    for h in range(n) if head is None else (head,):
-        if rows is None or loop:
-            tails = (h,) if tail is None or tail == h else ()
-        else:
-            tails = range(n) if tail is None else (tail,)
-        for t in tails:
-            c = 1 if rows is None else rows[h][t]
-            if hvec is not None:
-                c *= hvec[h]
-            if tvec is not None:
-                c *= tvec[t]
-            if c:
-                yield h, t, c
+    table = words.get(eid)
+    if table is None:  # unmarked: the identity, at the pinned label if there is one
+        pin = tail if head is None else head
+        table = [(h, h, 1) for h in (range(n) if pin is None else (pin,)) if tail in (None, h)]
+    elif head is not None or tail is not None:
+        table = [
+            e for e in table if (head is None or e[0] == head) and (tail is None or e[1] == tail)
+        ]
+    hvec, tvec = (vectors.get((eid, HEAD)), vectors.get((eid, TAIL))) if vectors else (None, None)
+    if hvec is None and tvec is None:
+        return table
+    return [
+        (h, t, x)
+        for h, t, c in table
+        if (x := c * (1 if hvec is None else hvec[h]) * (1 if tvec is None else tvec[t]))
+    ]
 
 
 class _Shape:
@@ -271,10 +259,14 @@ class _Shape:
     """
 
     def __init__(self, diagram: TraceDiagram):
-        result = _validation(diagram)
-        if not result.ok:
-            raise DiagramStructureError("; ".join(result.violations))
+        self.form = _kept(diagram, "_form", _Strands.of)  # validates; read by _bound
         self.n = diagram.n
+        # each edge end's place in a FunctionMatrix index (0 unless a framed leaf)
+        self.places = {
+            (eid, end): _place(self.n, self.form.arity, at)
+            for eid, _, *ends in self.form.strands
+            for end, at in zip((TAIL, HEAD), ends)
+        }
         self.edges = sorted(diagram.edges, key=lambda e: e.id)
         self.internal_ids = [v.id for v in diagram.vertices if v.kind == INTERNAL]
         self.end_vertex: dict[tuple[str, str], str] = {}
@@ -307,13 +299,12 @@ class _Shape:
         self.reading_sign = 1
         for v in diagram.vertices:
             if v.kind == INTERNAL:
-                self.reading_sign *= perms.sign(rank[(r.edge, r.end)] for r in v.ciliation)
-        # per edge: its id, whether it is a free loop, and per end (head
-        # first) the end's key and its vertex's bit offset or None
+                self.reading_sign *= perms.sign(rank[(r.edge, r.end)] + 1 for r in v.ciliation)
+        # per edge: its id and per end (head first) the end's key and its
+        # vertex's bit offset or None
         self.edge_ends = [
             (
                 e.id,
-                e.is_free_loop,
                 tuple(
                     ((e.id, end), self.slot.get(self.end_vertex.get((e.id, end))))
                     for end in (HEAD, TAIL)
@@ -380,16 +371,10 @@ class _Shape:
 
 
 def _shape(diagram: TraceDiagram) -> _Shape:
-    """The diagram's :class:`_Shape`, kept on the diagram after the first call.
-
-    Diagrams are immutable, so the shape stays valid; repeated evaluations of
-    one diagram (every leaf coloring of a weight table, say) validate it once.
-    """
-    shape = diagram.__dict__.get("_shape")
-    if shape is None:
-        shape = _Shape(diagram)
-        object.__setattr__(diagram, "_shape", shape)
-    return shape
+    """The diagram's :class:`_Shape`, kept on the diagram after the first
+    call, so repeated evaluations of one diagram (every leaf coloring of a
+    weight table, say) index it once."""
+    return _kept(diagram, "_shape", _Shape)
 
 
 def _signed_sum(shape: _Shape, bound: tuple, pinned: Mapping, places: Mapping) -> dict[int, int]:
@@ -432,10 +417,10 @@ def _moves(n: int, bound: tuple, edge, pinned, places, shift) -> list[tuple]:
     Pairs with the same effect on the state merge into one move with the
     summed coefficient, and a move whose coefficient is zero is dropped.
     """
-    eid, loop, ((hkey, hslot), (tkey, tslot)) = edge
+    eid, ((hkey, hslot), (tkey, tslot)) = edge
     hplace, tplace = places.get(hkey, 0) << shift, places.get(tkey, 0) << shift
     merged: dict[tuple[int, int, int], int] = {}
-    for h, t, c in _entries(bound, n, eid, loop, pinned.get(hkey), pinned.get(tkey)):
+    for h, t, c in _entries(bound, n, eid, pinned.get(hkey), pinned.get(tkey)):
         need = parity = 0
         if hslot is not None:
             need = 1 << (hslot + h)
@@ -458,29 +443,33 @@ def _moves(n: int, bound: tuple, edge, pinned, places, shift) -> list[tuple]:
     return [(*move, c, -c if move[2] else c) for move, c in merged.items() if c]
 
 
-def _strand_cells(diagram: TraceDiagram, bound: tuple, places: Mapping[str, int]) -> dict:
+def _place(n: int, arity: tuple[int, int], end: tuple) -> int:
+    """The place value of a strand-form end's label in a :class:`FunctionMatrix` index."""
+    (ins, outs), (kind, x) = arity, end
+    return n ** (ins - x) if kind == "in" else n ** (ins + outs - x) if kind == "out" else 0
+
+
+def _strand_cells(form: _Strands, bound: tuple) -> dict:
     """:func:`_signed_sum` for a diagram with no internal vertex, read off its
-    strands: every edge is a free loop or a strand between two leaves, so the
-    sum factors. A loop gives the sum of its entries, the trace of its word.
-    A strand's entries are placed at ``sum(places[leaf] * label)`` over its
-    open leaves, and the cells are the products of one entry per strand.
-    ``places`` must give each open leaf its own mixed-radix place, so no two
-    products share a cell.
+    strand form: every edge is a free loop or a strand between two leaves, so
+    the sum factors. A loop gives the sum of its entries, the trace of its
+    word. A strand's entries are placed by the :func:`_place` of its ends (0
+    at a vector end, so the entries there are added first), and the cells are
+    the products of one entry per strand; no two products share a cell.
     """
-    scalar, strands = 1, []
-    for e in diagram.edges:
-        if e.is_free_loop:
-            scalar *= sum(c for _, _, c in _entries(bound, diagram.n, e.id, True))
-        else:
-            strands.append(e)
+    n, scalar = form.n, 1
+    for eid, _ in form.loops:
+        scalar *= sum(c for _, _, c in _entries(bound, n, eid))
     cells = {0: scalar} if scalar else {}
-    for e in strands:
-        hplace, tplace = places.get(e.head, 0), places.get(e.tail, 0)
-        part: dict[int, int] = {}
-        for h, t, c in _entries(bound, diagram.n, e.id, False):
-            key = h * hplace + t * tplace
-            part[key] = part.get(key, 0) + c
-        cells = {i + j: x * y for i, x in cells.items() for j, y in part.items() if y}
+    for eid, _, tail, head in form.strands:
+        hp, tp = _place(n, form.arity, head), _place(n, form.arity, tail)
+        entries = _entries(bound, n, eid)
+        if not (hp and tp):  # entries that share a cell are summed first
+            summed: dict[int, int] = {}
+            for h, t, c in entries:
+                summed[h * hp + t * tp] = summed.get(h * hp + t * tp, 0) + c
+            entries, hp, tp = [(j, 0, c) for j, c in summed.items() if c], 1, 0
+        cells = {i + h * hp + t * tp: x * c for i, x in cells.items() for h, t, c in entries}
     return cells
 
 
@@ -536,8 +525,8 @@ def weight(
     binding: Optional[MatrixBinding] = None,
 ) -> Fraction:
     """Signed sum of coefficients over all colorings extending a total leaf coloring."""
-    bound = _bound(diagram, binding)
     shape = _shape(diagram)
+    bound = _bound(shape.form, binding)
     if set(leaf_coloring) != set(shape.open_end):
         raise LeafColoringError(
             "leaf coloring must cover exactly the open leaves: "
@@ -548,46 +537,39 @@ def weight(
     return Fraction(value, bound[2] * shape.reading_sign)
 
 
-def _cells(
-    diagram: TraceDiagram,
-    binding: Optional[MatrixBinding],
-    places: Mapping[str, int],
-) -> tuple[dict[int, int], int]:
-    """``(cells, den)`` of the diagram's signed sum, nonzero cells only: the
-    strand walk for a diagram without an internal vertex, the DP otherwise."""
-    bound = _bound(diagram, binding)
-    if all(v.kind != INTERNAL for v in diagram.vertices):
-        return _strand_cells(diagram, bound, places), bound[2]
-    shape = _shape(diagram)
-    ends = {shape.open_end[vid]: place for vid, place in places.items()}
-    cells = _signed_sum(shape, bound, {}, ends)
-    return {idx: x for idx, x in cells.items() if x}, bound[2] * shape.reading_sign
+def _cells(term, binding: Optional[MatrixBinding]) -> tuple[dict[int, int], int]:
+    """``(cells, den)`` of a diagram's or strand form's signed sum, nonzero
+    cells only, as a :class:`FunctionMatrix` framed as the term holds them:
+    the strand walk for a form or a vertex-free diagram, the DP otherwise."""
+    if isinstance(term, TraceDiagram):
+        if all(v.kind != INTERNAL for v in term.vertices):
+            term = _kept(term, "_form", _Strands.of)
+        else:
+            shape = _shape(term)
+            bound = _bound(shape.form, binding)
+            cells = _signed_sum(shape, bound, {}, shape.places)
+            return {idx: x for idx, x in cells.items() if x}, bound[2] * shape.reading_sign
+    bound = _bound(term, binding)
+    return _strand_cells(term, bound), bound[2]
 
 
-def evaluate_closed(
-    diagram: TraceDiagram, binding: Optional[MatrixBinding] = None
-) -> Fraction:
-    """Value of a diagram with no open leaves: the full signed coloring sum."""
-    if diagram.open_leaves():
-        raise FramingError(
-            f"not closed: open leaves {', '.join(diagram.open_leaves())}"
-        )
-    cells, den = _cells(diagram, binding, {})
+def evaluate_closed(diagram, binding: Optional[MatrixBinding] = None) -> Fraction:
+    """Value of a diagram with no open leaves (or of a strand form of one):
+    the full signed coloring sum."""
+    if not diagram.is_closed():
+        leaves = diagram.diagram().open_leaves()
+        raise FramingError(f"not closed: open leaves {', '.join(leaves)}")
+    cells, den = _cells(diagram, binding)
     return Fraction(cells.get(0, 0), den)
 
 
-def function_matrix(
-    diagram: TraceDiagram, binding: Optional[MatrixBinding] = None
-) -> FunctionMatrix:
-    """Matrix of the diagram's multilinear function in the standard tensor basis.
+def function_matrix(diagram, binding: Optional[MatrixBinding] = None) -> FunctionMatrix:
+    """Matrix of the multilinear function of a diagram (or of a strand form
+    of one) in the standard tensor basis.
 
     Column alpha holds the weights of every output coloring beta; a closed
     framed diagram yields the 1x1 matrix of its value.
     """
     if not diagram.framed:
         raise FramingError("function matrix needs a framed diagram")
-    n, ins, outs = diagram.n, diagram.inputs, diagram.outputs
-    cols = n ** len(ins)
-    places = {vid: n**k for k, vid in enumerate(reversed(ins))}
-    places.update({vid: cols * n**k for k, vid in enumerate(reversed(outs))})
-    return FunctionMatrix(n, len(ins), len(outs), *_cells(diagram, binding, places))
+    return FunctionMatrix(diagram.n, *diagram.arity, *_cells(diagram, binding))

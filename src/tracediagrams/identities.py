@@ -741,16 +741,16 @@ def _check_functoriality(n: int, rng: Random, fix) -> dict:
 
 def _polarization_fixture(n: int):
     """The terms of the multi-label diagram sum grouped by summand class
-    (i, cycle type), in sorted class order, each with its signed count (the sum
-    of its coefficients) and its diagram sum. A term's class is read off its
-    words: i letters on the open strand, one loop per further cycle."""
+    (i, cycle type), in sorted class order, each with its signed count
+    (``builders._class_coefficient``) and its diagram sum. A term's class is
+    read off its strand form: i letters on the open strand, a loop per cycle."""
     classes: dict[tuple, list] = {}
-    for c, d in builders.ch_diagram(n, _labels(n)).terms:
-        strand, *loops = d.edges  # closure_diagram puts the open strand first
-        lam = tuple(sorted(len(e.marking) for e in loops))
-        classes.setdefault((len(strand.marking), lam), []).append((c, d))
+    for c, form in builders.ch_diagram(n, _labels(n)).terms:
+        ((_, word, *_),) = form.strands
+        lam = tuple(sorted(len(loop) for _, loop in form.loops))
+        classes.setdefault((len(word), lam), []).append((c, form))
     return [
-        (i, lam, sum(c for c, _ in terms), FormalSum(tuple(terms)))
+        (i, lam, builders._class_coefficient(n, lam), FormalSum(tuple(terms)))
         for (i, lam), terms in sorted(classes.items())
     ]
 
@@ -830,7 +830,8 @@ class Identity:
 CATALOGUE: dict[str, Identity] = {
     "ch": Identity(_check_cayley_hamilton, 2, tuple(range(1, 11)), fixture=_ch_fixture),
     "ch-general": Identity(
-        _check_generalized_ch, 2, (1, 2, 3), fixture=lambda n: builders.ch_diagram(n, _labels(n))
+        _check_generalized_ch, 2, tuple(range(1, 8)),
+        fixture=lambda n: builders.ch_diagram(n, _labels(n)),
     ),
     "binor": Identity(
         _check_binor,
@@ -839,10 +840,11 @@ CATALOGUE: dict[str, Identity] = {
         fixture=lambda n: is_relation(builders.binor_relation(), None, mode="all-bases"),
     ),
     "det-diagram": Identity(
-        _check_det_diagram, 2, (1, 2, 3, 4), fixture=lambda n: builders.determinant_diagram(n, "A")
+        _check_det_diagram, 2, tuple(range(1, 9)),
+        fixture=lambda n: builders.determinant_diagram(n, "A"),
     ),
-    "det-sum": Identity(_check_det_sum, 2, (1, 2, 3), fixture=_det_sum_terms),
-    "charpoly": Identity(_check_charpoly, 2, (1, 2, 3, 4), fixture=_charpoly_diagrams),
+    "det-sum": Identity(_check_det_sum, 2, tuple(range(1, 8)), fixture=_det_sum_terms),
+    "charpoly": Identity(_check_charpoly, 2, tuple(range(1, 8)), fixture=_charpoly_diagrams),
     "antisym-two-node": Identity(_check_antisym_two_node, 2, (1, 2, 3), fixture=_antisym_fixture),
     "symmetrizer-sum": Identity(
         _check_symmetrizer_sum, 2, tuple(range(1, 11)), fixture=_symmetrizer_fixture

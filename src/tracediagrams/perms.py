@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 def sign(images) -> int:
-    """Sign of a permutation given as a sequence of images of 1..k."""
-    images = tuple(images)
-    inversions = sum(
-        1
-        for i in range(len(images))
-        for j in range(i + 1, len(images))
-        if images[i] > images[j]
-    )
-    return -1 if inversions % 2 else 1
+    """Sign of a permutation given as a sequence of images of 1..k: (-1)^(k - cycles)."""
+    images, seen, cycles = tuple(images), set(), 0
+    for start in images:
+        cycles += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = images[start - 1]
+    return -1 if (len(images) - cycles) % 2 else 1
 
 
 def compose(p, q) -> tuple[int, ...]:

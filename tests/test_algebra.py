@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -35,7 +35,8 @@ from tracediagrams import (
 from tracediagrams import algebra
 from tracediagrams import diagram as diagram_module
 from tracediagrams import matrices as mx
-from tracediagrams.dsl import parse_diagram_set
+from tracediagrams import perms
+from tracediagrams.dsl import parse_diagram_set, parse_relation
 from tracediagrams.engine import _sum_cells, index_tensor
 from tracediagrams.identities import random_diagram, trial_rng
 
@@ -497,10 +498,21 @@ def test_ch_builtin_sums_equal_labels_by_class(monkeypatch, labels, dim, terms):
 
 
 def test_each_term_is_validated_once(monkeypatch):
+    # a builder's permutation sum is valid by construction and is never
+    # validated; a sum of diagrams from the DSL validates each term once
     calls = []
     validate = diagram_module.validate
     monkeypatch.setattr(diagram_module, "validate", lambda d: calls.append(d) or validate(d))
     s = builders.antisymmetrizer(2, 3)
     for _ in range(2):
         assert sum_function_matrix(s).is_zero()
-    assert len(calls) == len(s.terms) == 6
+    assert calls == []
+    rel = parse_relation(
+        "\n".join(
+            f"{perms.sign(p)} * builtin:perm({', '.join(map(str, p))}) @ dim 2"
+            for p in permutations((1, 2, 3))
+        )
+    )
+    for _ in range(2):
+        assert sum_function_matrix(rel).is_zero()
+    assert len(calls) == len(rel.terms) == 6

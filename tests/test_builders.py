@@ -7,6 +7,7 @@ from math import factorial
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracediagrams import (
     DimensionMismatchError,
@@ -20,6 +21,7 @@ from tracediagrams import (
 )
 from tracediagrams import matrices as mx
 from tracediagrams import perms
+from tracediagrams.diagram import _Strands
 from tracediagrams.dsl import serialize_diagram
 from tracediagrams.engine import index_tensor
 
@@ -47,8 +49,8 @@ def test_all_builders_validate():
         builders.ch_classes(3, "A", 4),
         builders.loop_classes(3, "A", 4),
     ):
-        for _, d in s.terms:
-            assert validate(d).ok
+        for _, term in s.terms:
+            assert validate(term.diagram()).ok
 
 
 def test_permutation_diagrams_compose_like_permutations():
@@ -210,7 +212,8 @@ def _term_classes(s):
     """Each term's coefficient by its class (open word length, loop word lengths
     in non-increasing order); the edges of a closure diagram come strand first."""
     out = {}
-    for c, d in s.terms:
+    for c, term in s.terms:
+        d = term.diagram()
         words = [len(e.marking) for e in d.edges]
         if d.inputs:
             key = (words[0], tuple(sorted(words[1:], reverse=True)))
@@ -363,3 +366,34 @@ def test_closure_diagrams_are_pinned():
     assert _digest(texts) == (
         "353b465fffee678081ca9518e07c90070595b3d1e58cc7f1451088db8d0790a7"
     )
+
+
+@st.composite
+def closures(draw):
+    """A permutation of 1..k, k in 0..6; the open strand, a point or None; a
+    closure label over A, B, C for every other point; and a top mark on the
+    open strand, drawn or None."""
+    k = draw(st.integers(0, 6))
+    images = tuple(draw(st.permutations(range(1, k + 1))))
+    open_strand = draw(st.one_of(st.none(), st.integers(1, k))) if k else None
+    labels = {j: draw(st.sampled_from("ABC")) for j in range(1, k + 1) if j != open_strand}
+    top = draw(st.one_of(st.none(), st.sampled_from("AT"))) if open_strand else None
+    return images, labels, open_strand, top
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(closures(), st.integers(1, 4))
+def test_strand_forms_built_from_images_match_their_diagrams(case, n):
+    images, labels, open_strand, top = case
+    form = builders._closure(n, images, labels, open_strand, top)
+    d = builders.closure_diagram(n, images, labels, open_strand, top)
+    assert validate(d).ok
+    assert _Strands.of(d) == form
+    assert _Strands.of(form.diagram()) == form and form.diagram() == d
+    # the open strand's word and the loops' words hold every closure label once
+    words = [w for _, w, *_ in form.strands] + [w for _, w in form.loops]
+    letters = sorted(lab for w in words for lab in w)
+    assert letters == sorted([*labels.values()] + ([top] if top else []))
+    wires = builders._permutation(n, images)
+    assert _Strands.of(builders.permutation_diagram(n, images)) == wires
+    assert _Strands.of(wires.diagram()) == wires

@@ -31,8 +31,11 @@ from tracediagrams import (
     signature,
     weight,
 )
+from tracediagrams import cli
 from tracediagrams import matrices as mx
-from tracediagrams.algebra import sum_function_matrix, tensor
+from tracediagrams.algebra import sum_closed_value, sum_function_matrix, tensor
+from tracediagrams.diagram import _Strands
+from tracediagrams.dsl import parse_matrix_file, serialize_diagram
 from tracediagrams.engine import index_tensor, tensor_index
 from tracediagrams.identities import random_diagram, random_skew_matrix
 
@@ -611,3 +614,89 @@ def test_unframed_open_vertex_free_diagram_is_refused():
     assert _raised(lambda: evaluate_closed(bare)) == (
         FramingError, "not closed: open leaves in1, out1"
     )
+
+
+# ---------------------------------------------------------------------------
+# The builders' permutation sums hold strand forms; each term's diagram, built
+# by form.diagram(), must give the same sum and the same errors
+
+
+@st.composite
+def form_sums(draw):
+    """n in 1..3 and 1-3 terms with coefficients in -3..3 / 1..3, all of one
+    arity: unmarked permutations of k <= 3 strands, or closure summands of a
+    permutation of k <= 4 points with labels over A and B, each with the
+    open strand 1 and a top mark drawn or none."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    wired = draw(st.booleans())
+    is_open = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        if wired:
+            images = tuple(draw(st.permutations(range(1, k + 1))))
+            terms.append((coeff, builders._permutation(n, images)))
+            continue
+        m = k + 1
+        images = tuple(draw(st.permutations(range(1, m + 1))))
+        labels = {j: draw(st.sampled_from("AB")) for j in range(2 if is_open else 1, m + 1)}
+        top = draw(st.sampled_from((None, "A", "B"))) if is_open else None
+        terms.append((coeff, builders._closure(n, images, labels, 1 if is_open else None, top)))
+    return FormalSum(tuple(terms))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(form_sums(), st.integers(0, 2**32 - 1))
+def test_form_sums_match_the_diagram_route_and_the_enumerator(s, seed):
+    b = _random_binding(Random(seed), s.terms[0][1].n)
+    diagrams = FormalSum(tuple((c, form.diagram()) for c, form in s.terms))
+    fm = sum_function_matrix(s, b)
+    assert fm == sum_function_matrix(diagrams, b)
+    want = {}
+    for c, d in diagrams.terms:
+        for key, x in _enumerated_matrix(d, b).items():
+            want[key] = want.get(key, 0) + c * x
+    n = fm.n
+    for beta in product(range(1, n + 1), repeat=fm.output_arity):
+        for alpha in product(range(1, n + 1), repeat=fm.input_arity):
+            assert fm.entry(beta, alpha) == want.get((beta, alpha), 0)
+    if all(form.is_closed() for _, form in s.terms):
+        assert sum_closed_value(s, b) == sum_closed_value(diagrams, b) == fm.scalar()
+
+
+@pytest.mark.parametrize(
+    "tmat, error",
+    [
+        (None, UnboundLabelError("A")),
+        ("matrix A 2 2\n1 2\n3 4\n", UnboundLabelError("B")),
+        ("matrix A 3 3\n1 0 0\n0 1 0\n0 0 1\nmatrix B 3 3\n1 0 0\n0 1 0\n0 0 1\n",
+         DimensionMismatchError("binding dimension 3 != diagram dimension 2")),
+    ],
+    ids=["no-binding", "missing-label", "dimension"],
+)
+def test_form_terms_raise_what_their_diagrams_raise(tmp_path, capsys, tmat, error):
+    want = (type(error), str(error))
+    b = None
+    if tmat is not None:
+        (tmp_path / "m.tmat").write_text(tmat, encoding="utf-8")
+        b = parse_matrix_file(tmat)
+    for forms, evaluate in (
+        (builders.ch_diagram(2, ["A", "B"]), sum_function_matrix),
+        (builders.antisym_closed_loops(2, ["A", "B"]), sum_closed_value),
+    ):
+        assert all(isinstance(form, _Strands) for _, form in forms.terms)
+        diagrams = FormalSum(tuple((c, form.diagram()) for c, form in forms.terms))
+        assert _raised(lambda: evaluate(forms, b)) == want
+        assert _raised(lambda: evaluate(diagrams, b)) == want
+    # through the CLI: the builtin sum (strand forms) and one of its terms'
+    # diagrams, whose loop is marked A B, written out as a .tdg
+    terms = builders.ch_diagram(2, ["A", "B"]).terms
+    (term,) = [f for _, f in terms if f.loops == (("c1", ("A", "B")),)]
+    (tmp_path / "sum.tdg").write_text("diagram s = builtin:ch(A, B) @ dim 2\n", encoding="utf-8")
+    (tmp_path / "term.tdg").write_text(serialize_diagram(term), encoding="utf-8")
+    for tdg in ("sum.tdg", "term.tdg"):
+        argv = ["eval", str(tmp_path / tdg)]
+        argv += [] if tmat is None else ["--bind", str(tmp_path / "m.tmat")]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == str(error) + "\n"

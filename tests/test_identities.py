@@ -185,6 +185,14 @@ def test_raised_dimension_cap_runs(identity):
     assert run_identity(identity, n=10, trials=1, seed=0).ok
 
 
+@pytest.mark.parametrize("identity, cap", [("det-diagram", 8), ("charpoly", 7), ("det-sum", 7)])
+def test_raised_determinant_caps_run(identity, cap):
+    # ch-general's cap, 7, costs seconds a trial and runs in CI's worker step
+    assert max(identities.CATALOGUE[identity].dims) == cap
+    assert max(identities.CATALOGUE["ch-general"].dims) == 7
+    assert run_identity(identity, n=cap, trials=1, seed=0).ok
+
+
 @pytest.mark.parametrize("identity", ["ch", "ch-general"])
 def test_two_by_two_summands_are_evaluated_once(monkeypatch, identity):
     calls = []
@@ -400,6 +408,13 @@ def test_polarization_classes_match_a_cycle_count(n):
         (i, lam, count) for (i, lam), count in want.items()
     )
     assert sum(len(sub.terms) for *_, sub in fix) == factorial(n + 1)
+    # each term's strand form has its class: i letters on the open strand and
+    # the loop words' lengths; the class's signed count sums its coefficients
+    for i, lam, count, sub in fix:
+        for _, form in sub.terms:
+            ((_, word, *_),) = form.strands
+            assert (len(word), tuple(sorted(len(w) for _, w in form.loops))) == (i, lam)
+        assert sum(c for c, _ in sub.terms) == count
 
     labels = [f"A{i}" for i in range(1, n + 1)]
     rng = trial_rng("classes", n)
