@@ -341,15 +341,10 @@ def cross_dot_closed(
     )
 
 
-def binor_lhs() -> TraceDiagram:
-    """The 3-dimensional vertex pair on two strands (equals crossing minus identity)."""
-    return two_node_antisym(3, 2)
-
-
 def binor_relation() -> FormalSum:
     """Vertex pair minus crossing plus identity; the zero function at n=3."""
     return FormalSum.of(
-        (1, binor_lhs()),
+        (1, two_node_antisym(3, 2)),
         (-1, permutation_diagram(3, (2, 1))),
         (1, identity_strands(3, 2)),
     )

@@ -370,7 +370,7 @@ class MatrixBinding:
     _word_products: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # marking word (a tuple) or vector label (a str) -> (integer rows, denominator),
+    # marking word -> (integer rows, denominator),
     # (word, loop) -> (nonzero entries, denominator)
     _lattices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -447,11 +447,3 @@ class MatrixBinding:
             entries = (tuple(e for e in table if not loop or e[0] == e[1]), den)
             self._lattices[(marking, loop)] = entries
         return entries
-
-    def vector_lattice(self, label: str) -> tuple[list[int], int]:
-        """:meth:`vector` as integer entries over one positive denominator."""
-        lattice = self._lattices.get(label)
-        if lattice is None:
-            (row,), den = matrices._lattice((self.vector(label),))
-            lattice = self._lattices[label] = (row, den)
-        return lattice

@@ -35,15 +35,16 @@ internal vertex once ``_Strands.of`` has validated and converted it (the form
 is kept on the diagram, as :func:`_shape` keeps the DP's index), is walked
 in :func:`_strand_cells`, building no :class:`_Shape`; any other diagram goes
 to the DP, :func:`_signed_sum`, as in :func:`weight` (which pins leaf labels).
-Every route reads the binding in one function, :func:`_bound`, and takes each
-edge's weighted label pairs from one helper, :func:`_entries`, so all refuse
-the same inputs with the same errors and weigh an edge by the same rule.
+Every route reads the binding once, in one function, :func:`_bound`, which
+makes each edge's table of weighted label pairs, so all refuse the same
+inputs with the same errors and weigh an edge by the same rule.
 
 The signed sum runs on integers. :func:`_bound` reads each edge's word product
 (its nonzero entries, kept on the binding as a table) and each vector as
-integers over one denominator, so the sum of a whole diagram is an integer
-over the product of those denominators, divided once; a
-:class:`FunctionMatrix` keeps integer cells over one denominator.
+integers over one denominator and folds each vector into its edge's table,
+so the sum of a whole diagram is an integer over the product of those
+denominators, divided once; a :class:`FunctionMatrix` keeps integer cells
+over one denominator.
 Sums and rational multiples of function matrices, and the function matrix of a
 formal sum, add such cells in one loop, :func:`_sum_cells`.
 ``Fraction`` is the type every public function returns. The reference
@@ -197,12 +198,16 @@ def _sum_cells(terms) -> FunctionMatrix:
     return FunctionMatrix(*shape, {idx: x for idx, x in total.items() if x}, den)
 
 
-def _bound(form: _Strands, binding: Optional[MatrixBinding]) -> tuple[dict, dict, int]:
-    """After the dimension (with no binding, the sorted-first label), the
-    binding's part of a sum over the form's edges: each marked word's nonzero
-    entries by edge id, each vector's integer entries by ``(edge id, end)``,
-    and the product of their denominators. Words are read in edge id order,
-    then vectors, tail before head, so all routes fail on one unbound label."""
+def _bound(form: _Strands, binding: Optional[MatrixBinding]) -> tuple[dict, int]:
+    """Each edge's nonzero ``(head label, tail label, entry)`` by edge id,
+    labels 0-based, and the product of the binding's denominators.
+
+    An edge's entries are its word's (:meth:`MatrixBinding.edge_entries`, the
+    diagonal on a free loop; the identity when unmarked) times the vector
+    entry at each vector-terminated end, and a product that is zero is
+    dropped. After the dimension (with no binding, the sorted-first label),
+    words are read in edge id order, then vectors, tail before head, so all
+    routes fail on one unbound label."""
     n, edges = form.n, sorted(form.strands + form.loops)
     vecs = sorted(  # (edge id, 0 at the tail or 1 at the head, label)
         [(eid, 0, t[1]) for eid, _, t, _ in form.strands if t[0] == "vec"]
@@ -211,43 +216,21 @@ def _bound(form: _Strands, binding: Optional[MatrixBinding]) -> tuple[dict, dict
     if binding is None:
         if vecs or any(e[1] for e in edges):
             raise UnboundLabelError(min({x for e in edges for x in e[1]} | {v[2] for v in vecs}))
-        return {}, {}, 1
-    if binding.n != n:
+    elif binding.n != n:
         raise DimensionMismatchError(f"binding dimension {binding.n} != diagram dimension {n}")
-    words, vectors, den = {}, {}, 1
+    tables, den, identity = {}, 1, None
     for e in edges:  # a free loop is (edge id, word)
         if e[1]:
-            words[e[0]], d = binding.edge_entries(e[1], len(e) == 2)
+            tables[e[0]], d = binding.edge_entries(e[1], len(e) == 2)
             den *= d
+        else:
+            identity = identity or [(h, h, 1) for h in range(n)]
+            tables[e[0]] = identity
     for eid, k, label in vecs:
-        vectors[(eid, (TAIL, HEAD)[k])], d = binding.vector_lattice(label)
+        (row,), d = matrices._lattice((binding.vector(label),))
         den *= d
-    return words, vectors, den
-
-
-def _entries(bound: tuple, n: int, eid: str, head=None, tail=None):
-    """The nonzero ``(head label, tail label, entry)`` of edge ``eid``, labels
-    0-based: its word's entries from :func:`_bound` (the identity when
-    unmarked) times the vector entry at each vector-terminated end. ``head``
-    or ``tail`` pins that end's label.
-    """
-    words, vectors, _ = bound
-    table = words.get(eid)
-    if table is None:  # unmarked: the identity, at the pinned label if there is one
-        pin = tail if head is None else head
-        table = [(h, h, 1) for h in (range(n) if pin is None else (pin,)) if tail in (None, h)]
-    elif head is not None or tail is not None:
-        table = [
-            e for e in table if (head is None or e[0] == head) and (tail is None or e[1] == tail)
-        ]
-    hvec, tvec = (vectors.get((eid, HEAD)), vectors.get((eid, TAIL))) if vectors else (None, None)
-    if hvec is None and tvec is None:
-        return table
-    return [
-        (h, t, x)
-        for h, t, c in table
-        if (x := c * (1 if hvec is None else hvec[h]) * (1 if tvec is None else tvec[t]))
-    ]
+        tables[eid] = [(h, t, x) for h, t, c in tables[eid] if (x := c * row[(t, h)[k]])]
+    return tables, den
 
 
 class _Shape:
@@ -377,11 +360,11 @@ def _shape(diagram: TraceDiagram) -> _Shape:
     return _kept(diagram, "_shape", _Shape)
 
 
-def _signed_sum(shape: _Shape, bound: tuple, pinned: Mapping, places: Mapping) -> dict[int, int]:
+def _signed_sum(shape: _Shape, tables: dict, pinned: Mapping, places: Mapping) -> dict[int, int]:
     """Sum of sign * coefficient over the colorings extending ``pinned``
     (0-based labels), split by ``sum(places[end] * label)`` over the open ends
-    in ``places``, each sum times the denominator of ``bound`` and
-    ``shape.reading_sign``.
+    in ``places``, each sum times the denominator :func:`_bound` returns with
+    ``tables`` and ``shape.reading_sign``.
 
     A state is one int: n bits per internal vertex holding the labels used
     there so far, and above them the partial ``places`` index. Colorings
@@ -394,7 +377,7 @@ def _signed_sum(shape: _Shape, bound: tuple, pinned: Mapping, places: Mapping) -
     shift = shape.n * len(shape.internal_ids)
     states: dict[int, int] = {0: 1}
     for edge in shape.edge_ends:
-        moves = _moves(shape.n, bound, edge, pinned, places, shift)
+        moves = _moves(shape.n, tables, edge, pinned, places, shift)
         grown: dict[int, int] = {}
         for state, value in states.items():
             for need, add, parity, pos, neg in moves:
@@ -410,17 +393,21 @@ def _signed_sum(shape: _Shape, bound: tuple, pinned: Mapping, places: Mapping) -
     return {key >> shift: v for key, v in states.items()}
 
 
-def _moves(n: int, bound: tuple, edge, pinned, places, shift) -> list[tuple]:
+def _moves(n: int, tables: dict, edge, pinned, places, shift) -> list[tuple]:
     """The label pairs one edge may take, as (bits that must be free,
     state increment, sign-parity mask, coefficient, -coefficient).
 
-    Pairs with the same effect on the state merge into one move with the
-    summed coefficient, and a move whose coefficient is zero is dropped.
+    The pairs are the edge's entries in ``tables``, less those off a pinned
+    label. Pairs with the same effect on the state merge into one move with
+    the summed coefficient, and a move whose coefficient is zero is dropped.
     """
     eid, ((hkey, hslot), (tkey, tslot)) = edge
     hplace, tplace = places.get(hkey, 0) << shift, places.get(tkey, 0) << shift
+    entries, hpin, tpin = tables[eid], pinned.get(hkey), pinned.get(tkey)
+    if hpin is not None or tpin is not None:
+        entries = [e for e in entries if hpin in (None, e[0]) and tpin in (None, e[1])]
     merged: dict[tuple[int, int, int], int] = {}
-    for h, t, c in _entries(bound, n, eid, pinned.get(hkey), pinned.get(tkey)):
+    for h, t, c in entries:
         need = parity = 0
         if hslot is not None:
             need = 1 << (hslot + h)
@@ -449,21 +436,22 @@ def _place(n: int, arity: tuple[int, int], end: tuple) -> int:
     return n ** (ins - x) if kind == "in" else n ** (ins + outs - x) if kind == "out" else 0
 
 
-def _strand_cells(form: _Strands, bound: tuple) -> dict:
+def _strand_cells(form: _Strands, tables: dict) -> dict:
     """:func:`_signed_sum` for a diagram with no internal vertex, read off its
     strand form: every edge is a free loop or a strand between two leaves, so
-    the sum factors. A loop gives the sum of its entries, the trace of its
-    word. A strand's entries are placed by the :func:`_place` of its ends (0
-    at a vector end, so the entries there are added first), and the cells are
-    the products of one entry per strand; no two products share a cell.
+    the sum factors. A loop gives the sum of its entries in ``tables``, the
+    trace of its word. A strand's entries are placed by the :func:`_place` of
+    its ends (0 at a vector end, so the entries there are added first), and
+    the cells are the products of one entry per strand; no two products share
+    a cell.
     """
     n, scalar = form.n, 1
     for eid, _ in form.loops:
-        scalar *= sum(c for _, _, c in _entries(bound, n, eid))
+        scalar *= sum(c for _, _, c in tables[eid])
     cells = {0: scalar} if scalar else {}
     for eid, _, tail, head in form.strands:
         hp, tp = _place(n, form.arity, head), _place(n, form.arity, tail)
-        entries = _entries(bound, n, eid)
+        entries = tables[eid]
         if not (hp and tp):  # entries that share a cell are summed first
             summed: dict[int, int] = {}
             for h, t, c in entries:
@@ -526,31 +514,33 @@ def weight(
 ) -> Fraction:
     """Signed sum of coefficients over all colorings extending a total leaf coloring."""
     shape = _shape(diagram)
-    bound = _bound(shape.form, binding)
+    tables, den = _bound(shape.form, binding)
     if set(leaf_coloring) != set(shape.open_end):
         raise LeafColoringError(
             "leaf coloring must cover exactly the open leaves: "
             f"got {sorted(leaf_coloring)}, expected {sorted(shape.open_end)}"
         )
     pinned = {end: label - 1 for end, label in shape.pin_leaves(leaf_coloring).items()}
-    value = _signed_sum(shape, bound, pinned, {}).get(0, 0)
-    return Fraction(value, bound[2] * shape.reading_sign)
+    value = _signed_sum(shape, tables, pinned, {}).get(0, 0)
+    return Fraction(value, den * shape.reading_sign)
 
 
 def _cells(term, binding: Optional[MatrixBinding]) -> tuple[dict[int, int], int]:
     """``(cells, den)`` of a diagram's or strand form's signed sum, nonzero
     cells only, as a :class:`FunctionMatrix` framed as the term holds them:
     the strand walk for a form or a vertex-free diagram, the DP otherwise."""
+    form, shape = term, None
     if isinstance(term, TraceDiagram):
-        if all(v.kind != INTERNAL for v in term.vertices):
-            term = _kept(term, "_form", _Strands.of)
-        else:
+        if any(v.kind == INTERNAL for v in term.vertices):
             shape = _shape(term)
-            bound = _bound(shape.form, binding)
-            cells = _signed_sum(shape, bound, {}, shape.places)
-            return {idx: x for idx, x in cells.items() if x}, bound[2] * shape.reading_sign
-    bound = _bound(term, binding)
-    return _strand_cells(term, bound), bound[2]
+            form = shape.form
+        else:
+            form = _kept(term, "_form", _Strands.of)
+    tables, den = _bound(form, binding)
+    if shape is None:
+        return _strand_cells(form, tables), den
+    cells = _signed_sum(shape, tables, {}, shape.places)
+    return {idx: x for idx, x in cells.items() if x}, den * shape.reading_sign
 
 
 def evaluate_closed(diagram, binding: Optional[MatrixBinding] = None) -> Fraction:

@@ -546,6 +546,12 @@ def _loop_and_strand(inputs=("a",), outputs=("z",), extra=()):
     return TraceDiagram(3, vertices, edges, inputs=inputs, outputs=outputs + ("y",))
 
 
+def _vector_strand():
+    """A closed strand whose tail is vector v and whose head is vector u."""
+    vertices = (leaf("t", "v"), leaf("h", "u"))
+    return TraceDiagram(3, vertices, (Edge("e", "t", "h"),), (), ())
+
+
 @pytest.mark.parametrize(
     "d, binding, error",
     [
@@ -585,6 +591,11 @@ def _loop_and_strand(inputs=("a",), outputs=("z",), extra=()):
             MatrixBinding(3, {"A": mx.identity(3)}),
             DimensionMismatchError("binding dimension 3 != diagram dimension 2"),
         ),
+        # a strand from vector v (its tail) to vector u (its head): the binding
+        # reads the tail first, while with no binding the sorted-first label
+        # is named
+        (_vector_strand(), MatrixBinding(3), UnboundLabelError("v")),
+        (_vector_strand(), None, UnboundLabelError("u")),
     ],
     ids=[
         "leaf-degree-2",
@@ -595,6 +606,8 @@ def _loop_and_strand(inputs=("a",), outputs=("z",), extra=()):
         "missing-vector",
         "loop",
         "loop-dimension",
+        "vectors-tail-first",
+        "vectors-sorted-first",
     ],
 )
 def test_strand_walk_raises_what_the_dp_raises(d, binding, error):
