@@ -49,6 +49,7 @@ _ID = r"[A-Za-z_][A-Za-z0-9_.-]*"
 _ID_RE = re.compile(rf"^{_ID}$")
 _BUILTIN_RE = re.compile(rf"^builtin:({_ID})\((.*?)\)\s*(?:@\s*dim\s+(\d+))?$")
 _TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\s*\*\s*(\S.*)$")
+_PLAIN_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # ASCII integers and p/q
 
 Entity = Union[TraceDiagram, FormalSum]
 
@@ -79,7 +80,11 @@ def _check_id(token: str, line: int) -> str:
 
 
 def _rational(token: str, line: int) -> Fraction:
+    plain = _PLAIN_RE.fullmatch(token)
     try:
+        if plain:  # read as ints: Fraction(str) takes several times as long
+            num, den = plain.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise DslSyntaxError(f"bad rational {token!r}: {exc}", line) from None

@@ -17,12 +17,15 @@ order, head label before tail label, and the partial colorings are merged by
 what the rest of the sum can still see: the set of labels used so far at each
 internal vertex, kept as a bitmask, and the labels placed at the open leaves
 that a function matrix is indexed by. This reads each internal vertex as an
-exterior product: the determinant diagram passes through C(2n, n) states in
-all rather than (n!)^2 colorings. An edge's label pairs with the same effect
-on the state are merged, and a merged pair whose coefficient is zero is never
-placed. A placed label's sign is the parity of the larger labels already at
-its vertex, which gives the sign of the vertex read in placement order; one
-sign per vertex, fixed by the diagram, converts that to the ciliation order.
+exterior product. An edge's label pairs with the same effect on the state are
+merged, and a merged pair whose coefficient is zero is never placed. A placed
+label's sign is the parity of the larger labels already at its vertex, which
+gives the sign of the vertex read in placement order; one sign per vertex,
+fixed by the diagram, converts that to the ciliation order. k parallel edges
+with one nonempty word between two internal vertices (the strands of the
+determinant diagram) are one step, a bundle, at its first edge's place, read
+as an exterior power: head labels H and tail labels T weigh k! times the
+word's minor on rows H and columns T, not k! orders of single edges.
 :func:`enumerate_colorings`, :func:`signature` and :func:`coefficient` keep
 the definition itself, and the tests compare the two.
 
@@ -59,7 +62,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from itertools import combinations
+from math import factorial, gcd, lcm
 from typing import Iterator, Mapping, Optional
 
 from . import matrices, perms
@@ -255,6 +259,10 @@ class _Shape:
         self.end_vertex: dict[tuple[str, str], str] = {}
         self.open_end: dict[str, tuple[str, str]] = {}
         byid = {v.id: v for v in diagram.vertices}
+        # the DP's steps in the order of their first edge: marked edges with
+        # one word, tail vertex and other head vertex are one step, a bundle
+        steps: list = []
+        bundles: dict[tuple, list] = {}
         for e in self.edges:
             for end in (TAIL, HEAD):
                 vid = e.vertex_at(end)
@@ -265,36 +273,46 @@ class _Shape:
                     self.end_vertex[(e.id, end)] = vid
                 elif v.vector_label is None:
                     self.open_end[vid] = (e.id, end)
+            if (
+                e.marking
+                and e.tail != e.head
+                and (e.id, TAIL) in self.end_vertex
+                and (e.id, HEAD) in self.end_vertex
+            ):
+                bundle = bundles.setdefault((e.tail, e.head, e.marking), [])
+                bundle.append(e)
+                if len(bundle) > 1:
+                    continue
+                steps.append(bundle)
+            else:
+                steps.append((e,))
 
-        # The signed sum places labels edge by edge, head before tail, so each
+        # The signed sum places labels step by step, head before tail, so each
         # vertex first reads its labels in that order. The sign of the
         # permutation from there to the ciliation order does not depend on
-        # the labels, so it is one factor for the whole sum.
+        # the labels, so it is one factor for the whole sum. Per step, the DP
+        # takes its first edge's id, per end (head first) the end's key and
+        # its vertex's bit offset or None, and its edge count.
         self.slot = {vid: k * self.n for k, vid in enumerate(self.internal_ids)}
         rank: dict[tuple[str, str], int] = {}
         placed = dict.fromkeys(self.internal_ids, 0)
-        for e in self.edges:
-            for end in (HEAD, TAIL):
-                vid = self.end_vertex.get((e.id, end))
-                if vid is not None:
-                    rank[(e.id, end)] = placed[vid]
-                    placed[vid] += 1
+        self.steps = []
+        for step in steps:
+            for e in step:
+                for end in (HEAD, TAIL):
+                    vid = self.end_vertex.get((e.id, end))
+                    if vid is not None:
+                        rank[(e.id, end)] = placed[vid]
+                        placed[vid] += 1
+            eid = step[0].id
+            ends = [
+                ((eid, end), self.slot.get(self.end_vertex.get((eid, end)))) for end in (HEAD, TAIL)
+            ]
+            self.steps.append((eid, ends, len(step)))
         self.reading_sign = 1
         for v in diagram.vertices:
             if v.kind == INTERNAL:
                 self.reading_sign *= perms.sign(rank[(r.edge, r.end)] + 1 for r in v.ciliation)
-        # per edge: its id and per end (head first) the end's key and its
-        # vertex's bit offset or None
-        self.edge_ends = [
-            (
-                e.id,
-                tuple(
-                    ((e.id, end), self.slot.get(self.end_vertex.get((e.id, end))))
-                    for end in (HEAD, TAIL)
-                ),
-            )
-            for e in self.edges
-        ]
 
     def colorings(
         self, pinned: Optional[dict[tuple[str, str], int]] = None
@@ -372,12 +390,15 @@ def _signed_sum(shape: _Shape, tables: dict, pinned: Mapping, places: Mapping) -
     states, not of colorings. Each placed label contributes the parity of
     the larger labels already at its vertex, which builds the sign of the
     placement-order reading; ``reading_sign`` turns it into the ciliation
-    reading.
+    reading. A step is one edge (:func:`_moves`) or a bundle (:func:`_bundle`).
     """
     shift = shape.n * len(shape.internal_ids)
     states: dict[int, int] = {0: 1}
-    for edge in shape.edge_ends:
-        moves = _moves(shape.n, tables, edge, pinned, places, shift)
+    for step in shape.steps:
+        if step[2] > 1:
+            states = _bundle(shape.n, tables[step[0]], step, states)
+            continue
+        moves = _moves(shape.n, tables, step, pinned, places, shift)
         grown: dict[int, int] = {}
         for state, value in states.items():
             for need, add, parity, pos, neg in moves:
@@ -401,7 +422,7 @@ def _moves(n: int, tables: dict, edge, pinned, places, shift) -> list[tuple]:
     label. Pairs with the same effect on the state merge into one move with
     the summed coefficient, and a move whose coefficient is zero is dropped.
     """
-    eid, ((hkey, hslot), (tkey, tslot)) = edge
+    eid, ((hkey, hslot), (tkey, tslot)), _ = edge
     hplace, tplace = places.get(hkey, 0) << shift, places.get(tkey, 0) << shift
     entries, hpin, tpin = tables[eid], pinned.get(hkey), pinned.get(tkey)
     if hpin is not None or tpin is not None:
@@ -428,6 +449,55 @@ def _moves(n: int, tables: dict, edge, pinned, places, shift) -> list[tuple]:
             merged[move] = c
     # a move whose parity mask is empty never flips its sign
     return [(*move, c, -c if move[2] else c) for move, c in merged.items() if c]
+
+
+def _bundle(n: int, entries, step, states: dict[int, int]) -> dict[int, int]:
+    """:func:`_signed_sum`'s states after a bundle of k parallel edges with
+    one word's ``entries``: each k-subset H of a state's free head labels
+    takes k! times the minors det(M[H, T]) over its free tail labels T,
+    expanded along H in increasing order with the DP's parity rule and kept
+    per H and tail-vertex labels; H's own parity is one mask.
+    """
+    _, ((_, hslot), (_, tslot)), k = step
+    full = (1 << n) - 1
+    rows: list[list] = [[] for _ in range(n)]  # per head label: (tail bit, larger bits, entry)
+    for h, t, c in entries:
+        rows[h].append((1 << t, (1 << n) - (2 << t), c))
+    minors: dict[tuple, tuple] = {}
+    grown: dict[int, int] = {}
+    for state, value in states.items():
+        taken = state >> tslot & full
+        hbits = state >> hslot & full
+        for heads in combinations([h for h in range(n) if not hbits >> h & 1], k):
+            found = minors.get((heads, taken))
+            if found is None:
+                sums = {0: factorial(k)}  # tail labels given to the rows so far -> sum
+                for h in heads:
+                    expanded: dict[int, int] = {}
+                    for given, x in sums.items():
+                        used = taken | given
+                        for bit, larger, c in rows[h]:
+                            if used & bit:
+                                continue
+                            key = given | bit
+                            c = -x * c if (used & larger).bit_count() & 1 else x * c
+                            expanded[key] = expanded[key] + c if key in expanded else c
+                    sums = expanded
+                add = mask = 0
+                for h in heads:
+                    add |= 1 << h
+                    mask ^= (1 << n) - (2 << h)
+                add <<= hslot
+                found = minors[heads, taken] = (
+                    mask << hslot,
+                    [(add + (given << tslot), x) for given, x in sums.items() if x],
+                )
+            mask, adds = found
+            signed = -value if (state & mask).bit_count() & 1 else value
+            for add, c in adds:
+                key = state + add
+                grown[key] = grown[key] + signed * c if key in grown else signed * c
+    return grown
 
 
 def _place(n: int, arity: tuple[int, int], end: tuple) -> int:

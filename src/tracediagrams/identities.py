@@ -840,11 +840,11 @@ CATALOGUE: dict[str, Identity] = {
         fixture=lambda n: is_relation(builders.binor_relation(), None, mode="all-bases"),
     ),
     "det-diagram": Identity(
-        _check_det_diagram, 2, tuple(range(1, 9)),
+        _check_det_diagram, 2, tuple(range(1, 13)),
         fixture=lambda n: builders.determinant_diagram(n, "A"),
     ),
     "det-sum": Identity(_check_det_sum, 2, tuple(range(1, 8)), fixture=_det_sum_terms),
-    "charpoly": Identity(_check_charpoly, 2, tuple(range(1, 8)), fixture=_charpoly_diagrams),
+    "charpoly": Identity(_check_charpoly, 2, tuple(range(1, 11)), fixture=_charpoly_diagrams),
     "antisym-two-node": Identity(_check_antisym_two_node, 2, (1, 2, 3), fixture=_antisym_fixture),
     "symmetrizer-sum": Identity(
         _check_symmetrizer_sum, 2, tuple(range(1, 11)), fixture=_symmetrizer_fixture

@@ -186,6 +186,35 @@ def test_matrix_file_rational_entries():
     assert binding.vector("u") == (Fraction(1, 3), Fraction(-2))
 
 
+@pytest.mark.parametrize(
+    "token, want",
+    [
+        ("1.5", Fraction(3, 2)),
+        ("1e3", Fraction(1000)),
+        ("1_000", None),  # accepted from Python 3.11 on, as Fraction accepts it
+        ("+3", Fraction(3)),
+        ("-3/4", Fraction(-3, 4)),
+        ("-12/08", Fraction(-3, 2)),
+        ("3/0", "line 2: bad rational '3/0': Fraction(3, 0)"),
+        ("3/-4", "line 2: bad rational '3/-4': Invalid literal for Fraction: '3/-4'"),
+        ("x", "line 2: bad rational 'x': Invalid literal for Fraction: 'x'"),
+    ],
+)
+def test_matrix_file_reads_what_fraction_reads(token, want):
+    # plain integers and p/q take a faster route than Fraction(str); the
+    # accepted tokens, their values and the error texts stay Fraction's
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        expected = f"line 2: bad rational {token!r}: {exc}"
+    assert want is None or want == expected
+    try:
+        got = parse_matrix_file(f"vector u 1\n{token}\n").vector("u")[0]
+    except DslSyntaxError as exc:
+        got = str(exc)
+    assert got == expected and type(got) is type(expected)
+
+
 def test_matrix_file_shape_errors():
     with pytest.raises(DslSyntaxError):
         parse_matrix_file("matrix A 2 3\n1 2 3\n4 5 6\n")

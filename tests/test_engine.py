@@ -1,5 +1,6 @@
 """Evaluation engine: enumeration, signatures, coefficients, weights, matrices."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -419,6 +420,103 @@ def test_engine_matches_enumerator_on_random_diagrams(n, n_in, n_out, seed):
 def test_engine_matches_enumerator_on_fixed_diagrams(d):
     rng = Random(d.n)
     _assert_engine_matches_enumerator(d, _random_binding(rng, d.n, "uvwx"), rng)
+
+
+# Marked edges that end at a vector leaf: the vector entry is read at the
+# leaf's own end, the tail label on an edge from a vector, the head label on
+# an edge into one, which differ once the edge is marked.
+
+
+def _cross(a, b):
+    return [a[i - 2] * b[i - 1] - a[i - 1] * b[i - 2] for i in range(3)]
+
+
+def _dot(a, b):
+    return sum(p * q for p, q in zip(a, b))
+
+
+def _apply(m, v):
+    return [_dot(row, v) for row in m]
+
+
+def _marked(d, marks, vectors=None):
+    """``d`` with the words in ``marks`` on those edges; with ``vectors``
+    (leaf id -> vector label), those open leaves end in vectors and ``d``
+    is closed."""
+    vectors = vectors or {}
+    vertices = tuple(leaf(v.id, vectors[v.id]) if v.id in vectors else v for v in d.vertices)
+    edges = tuple(replace(e, marking=marks.get(e.id, e.marking)) for e in d.edges)
+    framing = ((), ()) if vectors else (d.inputs, d.outputs)
+    return TraceDiagram(d.n, vertices, edges, *framing)
+
+
+_U, _V = [Fraction(1, 2), 0, -3], [2, Fraction(-5, 3), 0]
+_W, _X = [0, 4, Fraction(1, 7)], [-1, 2, 3]
+_A = [[1, 0, Fraction(-2, 3)], [0, 3, 1], [Fraction(5, 2), -1, 0]]
+_B = [[0, 2, 1], [Fraction(-1, 4), 0, 3], [1, 1, 0]]
+_LEGS = {"eu": ("A",), "eo": ("B",)}
+
+
+@pytest.mark.parametrize(
+    "d, want",
+    [
+        (  # A on the leg from vector u, B on the output leg
+            _marked(builders.cross_product_diagram("u", "v"), _LEGS),
+            _apply(_B, _cross(_apply(_A, _U), _V)),
+        ),
+        (  # the output leg ends in vector w: B's head label picks w's entry
+            _marked(builders.cross_product_diagram("u", "v"), _LEGS, {"out1": "w"}),
+            [_dot(_W, _apply(_B, _cross(_apply(_A, _U), _V)))],
+        ),
+        (  # two vertices: A on u's leg, the word A B on x's leg
+            _marked(
+                builders.cross_dot_closed("u", "v", "w", "x"), {"eu": ("A",), "ex": ("A", "B")}
+            ),
+            [_dot(_cross(_apply(_A, _U), _V), _cross(_W, _apply(_A, _apply(_B, _X))))],
+        ),
+    ],
+    ids=["cross-marked-legs", "cross-into-vector", "crossdot-marked-legs"],
+)
+def test_marked_edges_at_vector_leaves(d, want):
+    b = MatrixBinding(3, {"A": _A, "B": _B}, {"u": _U, "v": _V, "w": _W, "x": _X})
+    assert function_matrix(d, b).column(()) == tuple(Fraction(y) for y in want)
+    _assert_engine_matches_enumerator(d, b, Random(0))
+
+
+# Parallel marked strands between two vertices are placed in one DP step, a
+# bundle weighed by k! times a minor; the enumerator places every coloring.
+
+_WORDS = ((), ("A",), ("B",), ("A", "B"))
+
+
+@st.composite
+def vertex_pairs(draw):
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(0, n - 2))  # two strands or more; legs at k >= 1
+    # words from a palette of one or two, so most pairs repeat a word
+    palette = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=2))
+    words = draw(st.lists(st.sampled_from(palette), min_size=n - k, max_size=n - k))
+    return builders.two_node_pair(n, k, words)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(vertex_pairs(), st.integers(0, 2**32 - 1))
+def test_vertex_pairs_match_the_enumerator(d, seed):
+    rng = Random(seed)
+    b = _random_binding(rng, d.n)
+    _assert_engine_matches_enumerator(d, b, rng)
+    for _ in range(3):
+        leaves = {vid: rng.randint(1, d.n) for vid in d.open_leaves()}
+        assert weight(d, leaves, b) == _enumerated_weight(d, leaves, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_split_pairs_match_the_enumerator(n):
+    rng = Random(n)
+    b = _random_binding(rng, n)
+    for i in range(n + 1):
+        for d in (builders.det_sum_term(n, i, "A", "B"), builders.char_coeff_diagram(n, i, "A")):
+            assert evaluate_closed(d, b) == _enumerated_matrix(d, b).get(((), ()), 0)
 
 
 def test_one_diagram_object_under_several_bindings():

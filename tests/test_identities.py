@@ -185,7 +185,7 @@ def test_raised_dimension_cap_runs(identity):
     assert run_identity(identity, n=10, trials=1, seed=0).ok
 
 
-@pytest.mark.parametrize("identity, cap", [("det-diagram", 8), ("charpoly", 7), ("det-sum", 7)])
+@pytest.mark.parametrize("identity, cap", [("det-diagram", 12), ("charpoly", 10), ("det-sum", 7)])
 def test_raised_determinant_caps_run(identity, cap):
     # ch-general's cap, 7, costs seconds a trial and runs in CI's worker step
     assert max(identities.CATALOGUE[identity].dims) == cap
