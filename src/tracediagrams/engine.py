@@ -12,10 +12,10 @@ contributions into a matrix indexed by output and input leaf labels in mixed
 radix, leftmost leaf most significant. A :class:`FunctionMatrix` keeps only the
 nonzero entries of that matrix; its dense form is built when first asked for.
 
-The sum is computed without listing the colorings. Edges are taken in id
-order, head label before tail label, and the partial colorings are merged by
-what the rest of the sum can still see: the set of labels used so far at each
-internal vertex, kept as a bitmask, and the labels placed at the open leaves
+The sum is computed without listing the colorings. Edges are taken one step
+at a time, head label before tail label, and the partial colorings are merged
+by what the rest of the sum can still see: the set of labels used so far at
+each internal vertex, kept as a bitmask, and the labels placed at the open leaves
 that a function matrix is indexed by. This reads each internal vertex as an
 exterior product. An edge's label pairs with the same effect on the state are
 merged, and a merged pair whose coefficient is zero is never placed. A placed
@@ -26,8 +26,13 @@ with one nonempty word between two internal vertices (the strands of the
 determinant diagram) are one step, a bundle, at its first edge's place, read
 as an exterior power: head labels H and tail labels T weigh k! times the
 word's minor on rows H and columns T, not k! orders of single edges.
-:func:`enumerate_colorings`, :func:`signature` and :func:`coefficient` keep
-the definition itself, and the tests compare the two.
+The steps go in id order (a bundle at its first edge's place) unless, where
+that can pay, :func:`_order` finds one that keeps fewer vertices open and
+shows, by an upper bound on its states against a lower bound on id order's
+peak, that it holds no more states: so a vertex pair places its unmarked
+strands before its marked bundle, and an unmarked loop at a vertex, which has
+no coloring, comes first. :func:`enumerate_colorings`, :func:`signature` and
+:func:`coefficient` keep the definition itself, and the tests compare the two.
 
 A diagram without an internal vertex needs none of this: every edge is a free
 loop or a strand between two leaves, so the sum is a product of one factor per
@@ -61,9 +66,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterator, Mapping, Optional
 
 from . import matrices, perms
@@ -259,10 +264,12 @@ class _Shape:
         self.end_vertex: dict[tuple[str, str], str] = {}
         self.open_end: dict[str, tuple[str, str]] = {}
         byid = {v.id: v for v in diagram.vertices}
-        # the DP's steps in the order of their first edge: marked edges with
-        # one word, tail vertex and other head vertex are one step, a bundle
+        # the DP's steps, at first in the order of their first edge: marked
+        # edges with one word, tail vertex and other head vertex are one
+        # step, a bundle; then, where it pays, in :func:`_order`'s order
         steps: list = []
         bundles: dict[tuple, list] = {}
+        ties = set()  # the vertices of each unmarked edge between internal vertices
         for e in self.edges:
             for end in (TAIL, HEAD):
                 vid = e.vertex_at(end)
@@ -273,19 +280,36 @@ class _Shape:
                     self.end_vertex[(e.id, end)] = vid
                 elif v.vector_label is None:
                     self.open_end[vid] = (e.id, end)
-            if (
-                e.marking
-                and e.tail != e.head
-                and (e.id, TAIL) in self.end_vertex
-                and (e.id, HEAD) in self.end_vertex
-            ):
+            inner = (e.id, TAIL) in self.end_vertex and (e.id, HEAD) in self.end_vertex
+            if e.marking and e.tail != e.head and inner:
                 bundle = bundles.setdefault((e.tail, e.head, e.marking), [])
                 bundle.append(e)
                 if len(bundle) > 1:
                     continue
                 steps.append(bundle)
             else:
+                if inner and not e.marking:
+                    ties.add(frozenset((e.tail, e.head)))
                 steps.append((e,))
+        # Ordering pays where it can cut the states by far: at three internal
+        # vertices or more, at an edge with no coloring (an unmarked loop at
+        # a vertex), and at a vertex pair joined by marked and unmarked
+        # strands. Other pairs, as in crossdot(u, v, w, x), keep id order.
+        self.slot = {vid: k * self.n for k, vid in enumerate(self.internal_ids)}
+        pairs = {frozenset(key[:2]) for key in bundles}
+        if len(self.internal_ids) > 2 or any(len(t) < 2 or t in pairs for t in ties):
+            leaf_ends = set(self.open_end.values())
+            pattern = []  # per step: its ends' vertex offsets, edges, open-leaf ends, marked
+            for step in steps:
+                tail, head = (step[0].id, TAIL), (step[0].id, HEAD)
+                pattern.append((
+                    self.slot.get(self.end_vertex.get(tail)),
+                    self.slot.get(self.end_vertex.get(head)),
+                    len(step),
+                    (tail in leaf_ends) + (head in leaf_ends),
+                    bool(step[0].marking),
+                ))
+            steps = [steps[i] for i in _order(self.n, tuple(pattern))]
 
         # The signed sum places labels step by step, head before tail, so each
         # vertex first reads its labels in that order. The sign of the
@@ -293,7 +317,6 @@ class _Shape:
         # the labels, so it is one factor for the whole sum. Per step, the DP
         # takes its first edge's id, per end (head first) the end's key and
         # its vertex's bit offset or None, and its edge count.
-        self.slot = {vid: k * self.n for k, vid in enumerate(self.internal_ids)}
         rank: dict[tuple[str, str], int] = {}
         placed = dict.fromkeys(self.internal_ids, 0)
         self.steps = []
@@ -371,6 +394,168 @@ class _Shape:
         return pinned
 
 
+@lru_cache(maxsize=256)
+def _order(n: int, pattern: tuple) -> tuple[int, ...]:
+    """The order of the DP's steps, given in id order as ``pattern``: one that
+    keeps few vertices open where that is shown to hold no more states, else
+    id order. A step is (tail vertex, head vertex, edges, open-leaf ends,
+    marked), with internal vertices as distinct numbers and None at another
+    end; the order depends on nothing else, so it is kept per pattern.
+
+    An unmarked edge with both ends at one vertex has no coloring, so it goes
+    first and leaves no state. Otherwise the steps are taken greedily: steps
+    at open leaves last, as the states keep those labels to the end; then
+    the step after which the fewest vertices are open; then an unmarked step,
+    whose one label is shared by its ends; then id order. A greedy order can
+    leave one vertex open while it opens others, so it is kept only when an
+    upper bound on its states stays at or below a lower bound on id order's
+    peak (:func:`_upper`, :func:`_lower`). The lower bound needs every prefix
+    of the steps to have a coloring, which holds when the unmarked edges
+    between internal vertices form no odd cycle (each vertex has n ends;
+    König's edge-coloring theorem).
+    """
+    ids = tuple(range(len(pattern)))
+    root: dict[int, int] = {}  # union-find over internal vertices: the components
+    links: dict[int, list] = {}  # unmarked edges between internal vertices
+    for i, (tv, hv, _, _, marked) in enumerate(pattern):
+        if tv is None or hv is None:
+            continue
+        if not marked:
+            if tv == hv:
+                return (i, *ids[:i], *ids[i + 1 :])
+            links.setdefault(tv, []).append(hv)
+            links.setdefault(hv, []).append(tv)
+        tv, hv = _root(root, tv), _root(root, hv)
+        if tv != hv:
+            root[tv] = hv
+
+    # the greedy order, with its upper bound after each step but the last
+    placed = dict.fromkeys((v for x in pattern for v in x[:2] if v is not None), 0)
+    shared: dict[tuple, int] = {}
+    order, left, upper, leaves = [], list(ids), 1, 0
+    while left:
+        best = None
+        for i in left:
+            # a vertex is open when some but not all of its n ends are placed
+            tv, hv, k, leaf, marked = pattern[i]
+            opened = 0
+            if tv is not None:
+                p = placed[tv]
+                opened += (p + (2 * k if tv == hv else k) < n) - (p > 0)
+            if hv is not None and hv != tv:
+                p = placed[hv]
+                opened += (p + k < n) - (p > 0)
+            key = (leaf > 0, opened, marked, i)
+            if best is None or key < best:
+                best = key
+        i = best[3]
+        left.remove(i)
+        order.append(i)
+        leaves += _step(pattern[i], placed, shared)
+        if left:
+            upper = max(upper, _upper(n, placed, shared, leaves))
+    if order == sorted(order) or not _two_colorable(links):
+        return ids
+    # id order, with its lower bound after each step
+    placed = dict.fromkeys(placed, 0)
+    shared, leafy = {}, set()
+    for i, x in enumerate(pattern):
+        if _step(x, placed, shared):
+            # the step's component: its vertex's, or its own for a strand between leaves
+            v = x[1] if x[0] is None else x[0]
+            leafy.add(-1 - i if v is None else _root(root, v))
+        if _lower(n, placed, shared, leafy, root) >= upper:
+            return tuple(order)
+    return ids
+
+
+def _step(step: tuple, placed: dict, shared: dict) -> int:
+    """Adds one of :func:`_order`'s steps to the placed ends of each internal
+    vertex and to the unmarked edges between each two; returns its open-leaf
+    ends."""
+    tv, hv, k, leaf, marked = step
+    if tv is not None:
+        placed[tv] += k
+    if hv is not None:
+        placed[hv] += k
+        if tv is not None and not marked:
+            pair = (tv, hv) if tv < hv else (hv, tv)
+            shared[pair] = shared.get(pair, 0) + 1
+    return leaf
+
+
+def _upper(n: int, placed: dict, shared: dict, leaves: int) -> int:
+    """An upper bound on the DP's states after the steps that :func:`_step`
+    counted. A state is the label set of each open vertex, p of n labels after
+    p ends, and the labels at the open leaves placed: so there are at most n
+    per leaf label times C(n, p) per open vertex, or, for two open vertices
+    that s unmarked edges join, the number of pairs of label sets that share
+    s labels or more."""
+    bound, paired = n**leaves, set()
+    for (u, v), s in shared.items():
+        p, q = placed[u], placed[v]
+        if p < n and q < n and not paired & {u, v}:
+            paired |= {u, v}
+            bound *= sum(_orbit(n, p, q, j) for j in range(s, min(p, q) + 1))
+    for v, p in placed.items():
+        if v not in paired:
+            bound *= comb(n, p)
+    return bound
+
+
+def _lower(n: int, placed: dict, shared: dict, leafy: set, root: dict) -> int:
+    """A lower bound on the DP's states after the steps that :func:`_step`
+    counted, for a binding with no zero entry or minor and steps that have a
+    coloring. The states are a product over the diagram's components (roots
+    in ``root``; ``leafy`` holds those with an open leaf placed), and
+    relabelling a state gives a state; so a component has at least n states
+    once it has a leaf, C(n, p) for each open vertex, and for each two open
+    vertices the size of the smallest orbit of their label sets under
+    relabelling that has s labels or more in common."""
+    most = dict.fromkeys(leafy, n)  # per component: its largest lower bound
+    live = sorted(v for v, p in placed.items() if 0 < p < n)
+    for v in live:
+        c = _root(root, v)
+        most[c] = max(most.get(c, 1), comb(n, placed[v]))
+    for u, v in combinations(live, 2):
+        c = _root(root, u)
+        if c == _root(root, v):
+            p, q, s = placed[u], placed[v], shared.get((u, v), 0)
+            least = min(_orbit(n, p, q, j) for j in range(max(s, p + q - n), min(p, q) + 1))
+            most[c] = max(most[c], least)
+    return prod(most.values())
+
+
+def _root(root: dict, v):
+    while v in root:
+        v = root[v]
+    return v
+
+
+def _two_colorable(links: dict) -> bool:
+    """Whether the graph of ``links`` (vertex -> adjacent vertices) has no odd cycle."""
+    side: dict = {}
+    for start in links:
+        if start in side:
+            continue
+        side[start] = 0
+        todo = [start]
+        while todo:
+            v = todo.pop()
+            for w in links[v]:
+                if w not in side:
+                    side[w] = 1 - side[v]
+                    todo.append(w)
+                elif side[w] == side[v]:
+                    return False
+    return True
+
+
+def _orbit(n: int, p: int, q: int, j: int) -> int:
+    """The number of pairs of label sets of sizes p and q that share j labels."""
+    return comb(n, j) * comb(n - j, p - j) * comb(n - p, q - j)
+
+
 def _shape(diagram: TraceDiagram) -> _Shape:
     """The diagram's :class:`_Shape`, kept on the diagram after the first
     call, so repeated evaluations of one diagram (every leaf coloring of a
@@ -397,21 +582,25 @@ def _signed_sum(shape: _Shape, tables: dict, pinned: Mapping, places: Mapping) -
     for step in shape.steps:
         if step[2] > 1:
             states = _bundle(shape.n, tables[step[0]], step, states)
-            continue
-        moves = _moves(shape.n, tables, step, pinned, places, shift)
-        grown: dict[int, int] = {}
-        for state, value in states.items():
-            for need, add, parity, pos, neg in moves:
-                if state & need:
-                    continue
-                key = state + add
-                term = value * (neg if (state & parity).bit_count() & 1 else pos)
-                if key in grown:
-                    grown[key] += term
-                else:
-                    grown[key] = term
-        states = grown
+        else:
+            states = _edge(_moves(shape.n, tables, step, pinned, places, shift), states)
     return {key >> shift: v for key, v in states.items()}
+
+
+def _edge(moves: list[tuple], states: dict[int, int]) -> dict[int, int]:
+    """:func:`_signed_sum`'s states after one edge's :func:`_moves`."""
+    grown: dict[int, int] = {}
+    for state, value in states.items():
+        for need, add, parity, pos, neg in moves:
+            if state & need:
+                continue
+            key = state + add
+            term = value * (neg if (state & parity).bit_count() & 1 else pos)
+            if key in grown:
+                grown[key] += term
+            else:
+                grown[key] = term
+    return grown
 
 
 def _moves(n: int, tables: dict, edge, pinned, places, shift) -> list[tuple]:

@@ -3,7 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -32,13 +32,13 @@ from tracediagrams import (
     signature,
     weight,
 )
-from tracediagrams import cli
+from tracediagrams import cli, engine
 from tracediagrams import matrices as mx
-from tracediagrams.algebra import sum_closed_value, sum_function_matrix, tensor
-from tracediagrams.diagram import _Strands
+from tracediagrams.algebra import compose, sum_closed_value, sum_function_matrix, tensor
+from tracediagrams.diagram import INTERNAL, _Strands
 from tracediagrams.dsl import parse_matrix_file, serialize_diagram
 from tracediagrams.engine import index_tensor, tensor_index
-from tracediagrams.identities import random_diagram, random_skew_matrix
+from tracediagrams.identities import _arity, random_diagram, random_skew_matrix
 
 
 def binding2():
@@ -562,6 +562,94 @@ def test_pfaffian_diagram_at_eight():
     value = evaluate_closed(builders.pfaffian_diagram(8, "A"), MatrixBinding(8, {"A": a}))
     # the constant the Pfaffian scan measures: (-1)^m 2^m m! with m = n/2
     assert value == (-1) ** 4 * 2**4 * factorial(4) * mx.pfaffian_matchings(a)
+
+
+# ---------------------------------------------------------------------------
+# The DP takes its steps in an order that keeps few vertices open, where
+# that is shown to hold no more states than id order. The states are
+# counted here by wrapping the two step functions.
+
+
+def _id_order(n, pattern):
+    return range(len(pattern))
+
+
+def _peak(d, b, order=None):
+    """The function matrix of a fresh copy of ``d`` (so its steps are ordered
+    anew; with ``order`` in place of the engine's) and the most states the DP
+    held at once, counting the one it starts from."""
+    counts = [1]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_edge", "_bundle"):
+
+            def counted(*args, step=getattr(engine, name)):
+                states = step(*args)
+                counts.append(len(states))
+                return states
+
+            mp.setattr(engine, name, counted)
+        if order is not None:
+            mp.setattr(engine, "_order", order)
+        fm = function_matrix(replace(d), b)
+    return max(counts), fm
+
+
+def _generic_binding(rng, n):
+    """A and B with entries of up to six digits and none zero, so that no
+    move or minor is zero and the states are all those the shape allows."""
+
+    def entry():
+        return rng.choice((-1, 1)) * rng.randint(1, 10**6)
+
+    return MatrixBinding(n, {lab: [[entry() for _ in range(n)] for _ in range(n)] for lab in "AB"})
+
+
+@st.composite
+def multi_vertex_diagrams(draw, dims, vertices=2):
+    """The tensor of two random diagrams (often two components) or the
+    composition of two, with at least ``vertices`` internal vertices (up to 4)."""
+    n = draw(st.sampled_from(dims))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        glue = rng.randint(0, 2)
+        top = random_diagram(rng, n, glue, _arity(rng, n, glue))
+        d = compose(top, random_diagram(rng, n, _arity(rng, n, glue), glue))
+    else:
+        left = random_diagram(rng, n, _arity(rng, n, 0), _arity(rng, n, 0))
+        d = tensor(left, random_diagram(rng, n, _arity(rng, n, 0), _arity(rng, n, 0)))
+    assume(sum(v.kind == INTERNAL for v in d.vertices) >= vertices)
+    return d
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(multi_vertex_diagrams((3, 4, 5)), st.integers(0, 2**32 - 1))
+def test_step_order_holds_no_more_states_than_id_order(d, seed):
+    b = _generic_binding(Random(seed), d.n)
+    peak, fm = _peak(d, b)
+    id_peak, id_fm = _peak(d, b, _id_order)
+    assert peak <= id_peak
+    assert fm == id_fm
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(multi_vertex_diagrams((2, 3), vertices=3), st.integers(0, 2**32 - 1))
+def test_ordered_steps_match_the_enumerator(d, seed):
+    rng = Random(seed)
+    _assert_engine_matches_enumerator(d, _random_binding(rng, d.n), rng)
+
+
+def test_char_coeff_diagrams_at_ten_hold_at_most_binomial_states():
+    # the unmarked strands go first, so the states are the C(10, j) label sets
+    # shared by both vertices after j strands, then one minor each
+    rng = Random("charpoly-10")
+    n = 10
+    b = MatrixBinding(n, {"A": [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]})
+    coeffs = mx.charpoly_fl(b.matrix("A"))
+    for i in range(n + 1):
+        peak, fm = _peak(builders.char_coeff_diagram(n, i, "A"), b)
+        assert peak <= comb(n, min(i, n // 2))
+        scale = Fraction((-1) ** (i + n // 2), factorial(i) * factorial(n - i))
+        assert scale * fm.scalar() == coeffs[i]
 
 
 # ---------------------------------------------------------------------------

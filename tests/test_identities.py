@@ -11,10 +11,12 @@ from random import Random
 import pytest
 
 from tracediagrams import (
+    FunctionMatrix,
     HomogeneityError,
     MatrixBinding,
     TraceDiagramError,
     builders,
+    function_matrix,
     perms,
     sum_function_matrix,
     validate,
@@ -191,6 +193,50 @@ def test_raised_determinant_caps_run(identity, cap):
     assert max(identities.CATALOGUE[identity].dims) == cap
     assert max(identities.CATALOGUE["ch-general"].dims) == 7
     assert run_identity(identity, n=cap, trials=1, seed=0).ok
+
+
+def _functoriality_pairs(n, rng):
+    """A binding and the (top, bottom) and (left, right) pairs the
+    functoriality check composes and tensors, drawn as it draws them."""
+    b = MatrixBinding(n, {lab: identities.random_int_matrix(rng, n, -4, 4) for lab in "AB"})
+    glue = rng.randint(0, 2)
+    bottom = random_diagram(rng, n, identities._arity(rng, n, glue), glue)
+    top = random_diagram(rng, n, glue, identities._arity(rng, n, glue))
+    left = random_diagram(rng, n, identities._arity(rng, n, 0), identities._arity(rng, n, 0))
+    right = random_diagram(rng, n, identities._arity(rng, n, 0), identities._arity(rng, n, 0))
+    return b, (top, bottom), (left, right)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_products_match_the_dense_ones(n):
+    # the functoriality check multiplies function matrices cell by cell; the
+    # dense matmul and kron of their entries must give the same matrices
+    for trial in range(6):
+        b, (top, bottom), (left, right) = _functoriality_pairs(n, trial_rng(f"fm{n}", trial))
+        t, u, x, y = (function_matrix(d, b) for d in (top, bottom, left, right))
+        assert identities._product(t, u).entries == mx.matmul(t.entries, u.entries)
+        assert identities._kron(x, y).entries == mx.kron(x.entries, y.entries)
+
+
+@pytest.mark.parametrize(
+    "name, problem",
+    [
+        ("_product", "composition does not match the matrix product"),
+        ("_kron", "tensor does not match the Kronecker product"),
+    ],
+)
+def test_functoriality_fails_on_a_perturbed_product(monkeypatch, name, problem):
+    exact = getattr(identities, name)
+
+    def perturbed(a, b):  # one more at cell 0
+        fm = exact(a, b)
+        return fm + FunctionMatrix(fm.n, fm.input_arity, fm.output_arity, {0: 1})
+
+    monkeypatch.setattr(identities, name, perturbed)
+    for n in (2, 3):
+        fields = identities._check_functoriality(n, trial_rng(0, 0), None)
+        assert not fields["ok"]
+        assert fields["detail"] == problem
 
 
 @pytest.mark.parametrize("identity", ["ch", "ch-general"])
