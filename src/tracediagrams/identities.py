@@ -15,12 +15,16 @@ order the checks run. ``antisym-two-node`` also keeps the enumerator walk of
 its marked exchange check (colorings, signatures and the index of each
 coloring's images), so a trial computes only each coloring's coefficient.
 ``binor`` takes no binding: its fixture also recomputes every entry through
-per-basis weights, and every trial reports the fixture's verdict.
-The ``polarization`` fixture is the multi-label diagram sum, built once and
-split into its summand classes, each with its signed count; a trial evaluates
-every term once, class by class, and takes the whole sum as the sum of the
-class matrices. ``ch`` and ``symmetrizer-sum`` sum one term per class; at n=2
-``ch`` and ``ch-general`` check and sum the six summands of the full expansion.
+per-basis weights, and every trial reports the fixture's verdict. The
+``pfaffian`` fixture is the diagram. The ``polarization`` fixture is the
+multi-label diagram sum split into its summand classes, each with its signed
+count; a trial evaluates every term once, class by class, takes the whole sum
+as the sum of the class matrices, and builds once the table of subset sums
+and their powers that every polar form reads (:func:`_polar_table`). A
+``framing-independence`` trial compares each of its 16 framings, cell for
+cell, with the marked diagram's own framing, one of them. ``ch`` and
+``symmetrizer-sum`` sum one term per class; at n=2 ``ch`` and ``ch-general``
+check and sum the six summands of the full expansion.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from random import Random
 from typing import Callable, Optional
 
@@ -155,40 +159,43 @@ def polarize(tau: Callable[[matrices.Matrix], matrices.Matrix], k: int, mats):
     Homogeneity is checked on one sample instead of being trusted.
     """
 
-    def on_lattice(rows, den):
-        return matrices._lattice(tau(matrices._rational(rows, den)))
+    def on_lattice(powers, den):
+        return matrices._lattice(tau(matrices._rational(powers[1], den)))
 
-    return matrices._rational(*_polar_lattice(on_lattice, k, mats))
+    return matrices._rational(*_polar_lattice(on_lattice, _polar_table(mats, k, 1)))
 
 
-def _polar_lattice(tau, k: int, mats) -> tuple[matrices.IntRows, int]:
-    """:func:`polarize` for a ``tau`` that maps (integer rows, denominator) to
-    the same form. The subset sums, tau's values and the signed total stay
-    integer matrices, over one denominator each, and so does the result."""
+def _polar_table(mats, k: int, depth: int):
+    """What every polar form of degree k over ``mats`` reads: k, the one denominator d, and
+    the powers M^0..M^depth of M = d x for x the probe I + sum of mats, twice the probe,
+    and the sum of mats[p] over the bits p of each mask, in mask order."""
     mats = [matrices.freeze_matrix(m) for m in mats]
     if len(mats) != k:
         raise ValueError(f"need exactly {k} matrices, got {len(mats)}")
     n = len(mats[0])
     rows, den = matrices._lattice(tuple(row for m in mats for row in m))
     ints = [rows[p * n : (p + 1) * n] for p in range(k)]  # mats[p] == ints[p] / den
-    # probe = I + sum of mats; tau(2 probe) == 2^k tau(probe), cross-multiplied
     probe = [[den * (i == j) + sum(m[i][j] for m in ints) for j in range(n)] for i in range(n)]
-    twice, twice_den = tau([[2 * x for x in row] for row in probe], den)
-    once, once_den = tau(probe, den)
-    if any(
-        x * once_den != 2**k * y * twice_den
-        for rt, ro in zip(twice, once)
-        for x, y in zip(rt, ro)
-    ):
+    sums = [probe, [[2 * x for x in row] for row in probe]] + [
+        [[sum(xs) for xs in zip(*rs)] for rs in zip(*chosen)] or _zeros(n)
+        for chosen, _ in _bitmask_splits(ints)
+    ]
+    return k, den, [_powers(m, depth) for m in sums]
+
+
+def _polar_lattice(tau, table) -> tuple[matrices.IntRows, int]:
+    """:func:`polarize` over a :func:`_polar_table`, for a ``tau`` that maps the powers of M
+    and d to tau(M / d) as (integer rows, denominator). The signed total stays an integer
+    matrix over one denominator; tau(2 probe) == 2^k tau(probe) is checked, cross-multiplied."""
+    k, den, powers = table
+    (once, once_den), (twice, twice_den), *terms = (tau(p, den) for p in powers)
+    w = 2**k * twice_den
+    if [[x * once_den for x in row] for row in twice] != [[w * y for y in row] for row in once]:
         raise HomogeneityError(f"function is not homogeneous of degree {k}")
-    terms = []
-    for chosen, rest in _bitmask_splits(ints):
-        part = [[sum(xs) for xs in zip(*rs)] for rs in zip(*chosen)] or _zeros(n)
-        terms.append(((-1) ** len(rest), *tau(part, den)))
-    total_den = lcm(*(d for _, _, d in terms))
-    total = _zeros(n)
-    for sign, value, value_den in terms:
-        _add_scaled(total, sign * (total_den // value_den), value)
+    total_den = lcm(*(d for _, d in terms))
+    total = _zeros(len(once))
+    for mask, (value, value_den) in enumerate(terms):
+        _add_scaled(total, (-1) ** (k - mask.bit_count()) * (total_den // value_den), value)
     return total, total_den * factorial(k)
 
 
@@ -204,45 +211,43 @@ def _add_scaled(total: matrices.IntRows, w: int, rows) -> None:
 
 
 def _powers(m: matrices.IntRows, k: int) -> list[matrices.IntRows]:
-    """[M^0, M^1, ..., M^k] of an integer matrix M, each from the one before."""
-    out = [matrices._int_identity(len(m))]
-    for _ in range(k):
+    """[M^0, M^1, ..., M^max(k, 1)] of an integer matrix M, each from the one before."""
+    out = [matrices._int_identity(len(m)), m]
+    for _ in range(k - 1):
         out.append(matrices._product(out[-1], m))
     return out
 
 
 def _monomial_fn(i: int, lam: tuple[int, ...]):
     """x -> (prod of tr(x^l) for l in lam) * x^i, the diagonal of one summand
-    class, on the lattice: for x = M/d it is (prod of tr(M^l)) M^i over
+    class, on the powers of M for x = M/d: (prod of tr(M^l)) M^i over
     d^(i + sum(lam))."""
 
-    def fn(rows: matrices.IntRows, den: int) -> tuple[matrices.IntRows, int]:
-        powers = _powers(rows, max((i, *lam)))
-        scalar = 1
-        for ell in lam:
-            scalar *= sum(powers[ell][j][j] for j in range(len(rows)))
+    def fn(powers, den: int) -> tuple[matrices.IntRows, int]:
+        scalar = prod(sum(row[j] for j, row in enumerate(powers[ell])) for ell in lam)
         return [[scalar * x for x in row] for row in powers[i]], den ** (i + sum(lam))
 
     return fn
 
 
-def _poly_lattice(coeffs, rows: matrices.IntRows, den: int) -> tuple[matrices.IntRows, int]:
-    """sum_i coeffs[i] * x^i for x = M/d given as (M, d), on the lattice.
+def _poly_lattice(coeffs, powers, den: int) -> tuple[matrices.IntRows, int]:
+    """sum_i coeffs[i] * x^i for x = M/d, given the powers of M and d, on the lattice.
 
     With the coefficients over a common denominator L and k the top degree,
     the value is (sum_i (L coeffs[i]) d^(k-i) M^i) over L d^k.
     """
     k = len(coeffs) - 1
     common = lcm(*(c.denominator for c in coeffs))
-    out = _zeros(len(rows))
-    for i, (c, power) in enumerate(zip(coeffs, _powers(rows, k))):
+    out = _zeros(len(powers[0]))
+    for i, (c, power) in enumerate(zip(coeffs, powers)):
         _add_scaled(out, c.numerator * (common // c.denominator) * den ** (k - i), power)
     return out, common * den**k
 
 
 def _poly_at(coeffs, m: matrices.Matrix) -> matrices.Matrix:
     """sum_i coeffs[i] * m^i."""
-    return matrices._rational(*_poly_lattice(coeffs, *matrices._lattice(m)))
+    rows, den = matrices._lattice(m)
+    return matrices._rational(*_poly_lattice(coeffs, _powers(rows, len(coeffs) - 1), den))
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +602,9 @@ def _check_vector(n: int, rng: Random, fix) -> dict:
 
 
 def _framing_fixture(n: int):
-    """The binor relation's verdict under every leaf partition; the marked
-    two-strand diagram, its leaf colorings, and each reframing with the flat
-    cell index each coloring stands for in its function matrix."""
+    """The binor relation's verdict under every leaf partition; each reframing of the
+    marked two-strand diagram d with the flat cell index each leaf coloring stands for
+    in its function matrix; and the position of d's own framing: its mask sets d's inputs."""
     rel = builders.binor_relation()
     _, first = rel.terms[0]
     splits = _bitmask_splits(range(len(first.inputs + first.outputs)))
@@ -607,36 +612,29 @@ def _framing_fixture(n: int):
     d = tensor(builders.matrix_strand(3, ("A",)), builders.matrix_strand(3, ("B",)))
     leaves = list(d.inputs) + list(d.outputs)
     colorings = [dict(zip(leaves, c)) for c in product(range(1, 4), repeat=len(leaves))]
-    framed = [
-        (
-            reframe(d, ins, outs),
-            [
-                tensor_index([c[v] for v in outs], 3) * 3 ** len(ins)
-                + tensor_index([c[v] for v in ins], 3)
-                for c in colorings
-            ],
-        )
+    framed = [  # a cell's flat index is the mixed-radix rank of its output labels, then input ones
+        (reframe(d, ins, outs), [tensor_index([c[v] for v in outs + ins], 3) for c in colorings])
         for ins, outs in _bitmask_splits(leaves)
     ]
-    return holds, d, colorings, framed
+    return holds, framed, 2 ** len(d.inputs) - 1
 
 
 def _check_framing_independence(n: int, rng: Random, fix) -> dict:
-    holds, d, colorings, framed = fix
+    holds, framed, own = fix
     problems = [] if holds else ["vertex-pair relation breaks under some leaf partition"]
 
-    # weights of a marked diagram must not depend on the framing either
+    # weights of a marked diagram must not depend on the framing either: at the
+    # cell of each leaf coloring, every framing must hold what its own framing does
     binding = MatrixBinding(
         3, {"A": random_rational_matrix(rng, 3), "B": random_rational_matrix(rng, 3)}
     )
-    weights = [weight(d, c, binding) for c in colorings]
-    # every framing's function matrix must hold, at the cell a leaf coloring
-    # stands for, that coloring's weight: cells[idx] / den == w, cross-multiplied
-    matrices_and_cells = ((function_matrix(f, binding), cells) for f, cells in framed)
+    fms = [function_matrix(f, binding) for f, _ in framed]
+    ref = fms[own]
+    want = [ref.cells.get(idx, 0) for idx in framed[own][1]]
     if any(
-        fm.cells.get(idx, 0) * w.denominator != w.numerator * fm.den
-        for fm, cells in matrices_and_cells
-        for idx, w in zip(cells, weights)
+        fm.cells.get(idx, 0) * ref.den != w * fm.den
+        for fm, (_, cells) in zip(fms, framed)
+        for idx, w in zip(cells, want)
     ):
         problems.append("weight changed under reframing")
     return _verdict(problems)
@@ -793,22 +791,22 @@ def _check_polarization(n: int, rng: Random, fix) -> dict:
     labels = _labels(n)
     mats = [random_int_matrix(rng, n, -5, 5) for _ in labels]
     binding = MatrixBinding(n, dict(zip(labels, mats)))
+    table = _polar_table(mats, n, n)  # every polar form below reads it
     problems = []
     total = None  # the whole diagram sum, as the sum of the class matrices
     for i, lam, count, sub in fix:
         fm = sum_function_matrix(sub, binding)
         total = fm if total is None else total + fm
-        pol = matrices._rational(*_polar_lattice(_monomial_fn(i, lam), n, mats))
-        want = matrices.mscale(count, pol)
-        if fm.entries != want:
+        rows, den = _polar_lattice(_monomial_fn(i, lam), table)
+        if fm.entries != matrices._rational([[count * x for x in row] for row in rows], den):
             problems.append(f"class (i={i}, cycles={lam}) mismatch")
 
     full = total.entries
 
-    def tau(rows, den):  # p_x(x): homogeneous of degree n in x, zero by Cayley-Hamilton
-        return _poly_lattice(matrices.charpoly_fl(matrices._rational(rows, den)), rows, den)
+    def tau(powers, den):  # p_x(x): homogeneous of degree n in x, zero by Cayley-Hamilton
+        return _poly_lattice(matrices.charpoly_fl(matrices._rational(powers[1], den)), powers, den)
 
-    pol_full = matrices.mscale(factorial(n), matrices._rational(*_polar_lattice(tau, n, mats)))
+    pol_full = matrices.mscale(factorial(n), matrices._rational(*_polar_lattice(tau, table)))
     if full != pol_full:
         problems.append("diagram sum != n! * polarized identity")
     if not matrices.is_zero_matrix(full):
@@ -821,7 +819,7 @@ def _check_pfaffian(n: int, rng: Random, fix) -> dict:
     pf = matrices.pfaffian_matchings(a)
     if pf == 0:
         return {"ok": True, "skipped": True, "detail": "Pf = 0"}
-    val = evaluate_closed(builders.pfaffian_diagram(n, "A"), MatrixBinding(n, {"A": a}))
+    val = evaluate_closed(fix, MatrixBinding(n, {"A": a}))
     return {"ok": True, "skipped": False, "ratio": str(val / pf)}
 
 
@@ -892,14 +890,12 @@ CATALOGUE: dict[str, Identity] = {
     # run by the `polarize` and `pfaffian` commands rather than by `verify`; the
     # diagram sum is n! times the polarized identity, so that constant is n!,
     # while the Pfaffian's constant is measured, not asserted
-    "polarization": Identity(
-        _check_polarization,
-        2,
-        None,
-        lambda n, results: ({"constant": factorial(n)}, False),
-        _polarization_fixture,
-    ),
-    "pfaffian": Identity(_check_pfaffian, 4, None, _pfaffian_summary),
+    "polarization": Identity(_check_polarization, 2, None,
+                             lambda n, results: ({"constant": factorial(n)}, False),
+                             _polarization_fixture),
+    # every Pfaffian of odd size is 0, so no trial there reads the diagram
+    "pfaffian": Identity(_check_pfaffian, 4, None, _pfaffian_summary,
+                         lambda n: None if n % 2 else builders.pfaffian_diagram(n, "A")),
 }
 
 

@@ -4,8 +4,8 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
-from math import factorial
+from itertools import permutations, product
+from math import factorial, prod
 from random import Random
 
 import pytest
@@ -20,6 +20,7 @@ from tracediagrams import (
     perms,
     sum_function_matrix,
     validate,
+    weight,
 )
 from tracediagrams import algebra, identities
 from tracediagrams import matrices as mx
@@ -468,6 +469,84 @@ def test_polarization_classes_match_a_cycle_count(n):
     parts = [sum_function_matrix(sub, b).entries for *_, sub in fix]
     whole = sum_function_matrix(builders.ch_diagram(n, labels), b).entries
     assert reduce(mx.madd, parts) == whole
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shared_table_polar_forms_match_polarize(n):
+    # every class's polar form read from one trial's table equals the one
+    # polarize() computes on its own, on rational matrices of mixed denominators
+    rng = trial_rng("table", n)
+    mats = [identities.random_rational_matrix(rng, n) for _ in range(n)]
+    table = identities._polar_table(mats, n, n)
+
+    def power(x, j):
+        return mx.word_product([x] * j) if j else mx.identity(n)
+
+    for i, lam, _, _ in identities._polarization_fixture(n):
+
+        def tau(x):
+            return mx.mscale(prod(mx.mtrace(power(x, ell)) for ell in lam), power(x, i))
+
+        got = mx._rational(*identities._polar_lattice(identities._monomial_fn(i, lam), table))
+        assert got == polarize(tau, n, mats)
+
+
+def test_polarization_check_fails_on_a_negated_class_count():
+    fix = identities._polarization_fixture(3)
+    assert identities._check_polarization(3, trial_rng(0, 0), fix)["ok"]
+    for j, (i, lam, count, sub) in enumerate(fix):
+        broken = fix[:j] + [(i, lam, -count, sub)] + fix[j + 1 :]
+        fields = identities._check_polarization(3, trial_rng(0, 0), broken)
+        assert not fields["ok"] and fields["detail"] == f"class (i={i}, cycles={lam}) mismatch"
+
+
+@pytest.mark.parametrize("i, lam", [(1, (1,)), (2, (2,)), (0, (1, 1, 1, 1))])
+def test_shared_table_refuses_an_inhomogeneous_class(i, lam):
+    rng = trial_rng("table", 3)
+    table = identities._polar_table([identities.random_int_matrix(rng, 3) for _ in "ABC"], 3, 3)
+    with pytest.raises(HomogeneityError):
+        identities._polar_lattice(identities._monomial_fn(i, lam), table)
+
+
+def test_framing_reference_cells_are_the_pinned_weights():
+    # the check compares every framing with d's own; here that framing's cells,
+    # at the fixture's index of each leaf coloring, equal the pinned-leaf weights
+    _, framed, own = identities._framing_fixture(3)
+    d, cells = framed[own]
+    leaves = d.inputs + d.outputs
+    colorings = [dict(zip(leaves, c)) for c in product(range(1, 4), repeat=len(leaves))]
+    for seed in ("cross", 0):  # seed 0 draws the check's trial-0 binding
+        rng = trial_rng(seed, 0)
+        b = MatrixBinding(3, {lab: identities.random_rational_matrix(rng, 3) for lab in "AB"})
+        fm = function_matrix(d, b)
+        weights = [weight(d, c, b) for c in colorings]
+        assert len(cells) == len(weights) == 81 and any(weights)
+        for c, idx, w in zip(colorings, cells, weights):
+            assert Fraction(fm.cells.get(idx, 0), fm.den) == w
+            assert fm.entry([c[v] for v in d.outputs], [c[v] for v in d.inputs]) == w
+
+
+def test_framing_check_fails_on_swapped_cells():
+    holds, framed, own = identities._framing_fixture(3)
+    assert identities._check_framing_independence(3, trial_rng(0, 0), (holds, framed, own))["ok"]
+    for where in (own, len(framed) - 1):  # the reference framing, then another
+        f, cells = framed[where]
+        swapped = [cells[1], cells[0], *cells[2:]]
+        broken = framed[:where] + [(f, swapped)] + framed[where + 1 :]
+        fields = identities._check_framing_independence(3, trial_rng(0, 0), (holds, broken, own))
+        assert not fields["ok"] and fields["detail"] == "weight changed under reframing"
+
+
+def test_pfaffian_diagram_is_built_once_per_run(monkeypatch):
+    calls = []
+    build = builders.pfaffian_diagram
+    monkeypatch.setattr(builders, "pfaffian_diagram", lambda n, a: calls.append(n) or build(n, a))
+    report = run_identity("pfaffian", n=6, trials=4, seed=0)
+    assert report.data["samples_with_nonzero_pfaffian"] > 1
+    assert calls == [6]
+    # odd sizes have Pfaffian 0 and build nothing
+    assert run_identity("pfaffian", n=5, trials=2, seed=0).status == "inconclusive"
+    assert calls == [6]
 
 
 def test_pfaffian_scan_consistent():
